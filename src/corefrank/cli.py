@@ -643,6 +643,13 @@ def cmd_classes(args) -> None:
     _write_json({"classes": rows}, args.out)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="corefrank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -701,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ilp-resolve", help="joint inference with the exact solver")
     p.add_argument("corpus")
     p.add_argument("--model", required=True)
-    p.add_argument("--max-vars", type=int, default=40)
+    p.add_argument("--max-vars", type=_positive_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ilp_resolve)
 

@@ -118,6 +118,34 @@ class TestTrainResolveScore:
         responses = corpus.load_partition_file(str(resp_path))
         assert len(responses) == 12
 
+    def test_ilp_resolve_default_flags(self, small_corpus_path, tmp_path, capsys):
+        bundle_path = tmp_path / "mp.json"
+        resp_path = tmp_path / "resp.jsonl"
+        assert run([
+            "train", small_corpus_path, "--family", "mp", "--loss", "log",
+            "--features", "conventional", "--epochs", 5, "--out", bundle_path,
+        ]) == 0
+        assert run([
+            "ilp-resolve", small_corpus_path, "--model", bundle_path, "--out", resp_path,
+        ]) == 0
+        assert len(corpus.load_partition_file(str(resp_path))) == 30
+        capsys.readouterr()
+        assert run([
+            "ilp-resolve", small_corpus_path, "--model", bundle_path, "--max-vars", 5,
+            "--out", resp_path,
+        ]) == 1
+        record = json.loads(capsys.readouterr().err)
+        first_doc = corpus.load_corpus(small_corpus_path)[0].doc_id
+        assert first_doc in record["detail"]
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_ilp_max_vars_below_one_rejected(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["ilp-resolve", tmp_path / "c.jsonl", "--model", tmp_path / "m.json",
+                 "--max-vars", value, "--out", tmp_path / "r.jsonl"])
+        assert exc.value.code == 2
+        assert "--max-vars" in capsys.readouterr().err
+
     def test_ilp_requires_log_mention_pair(self, small_corpus_path, tmp_path):
         bundle_path = tmp_path / "cr.json"
         run(["train", small_corpus_path, "--family", "cr", "--features", "conventional",

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from corefrank import ilp, learn
+from corefrank import ilp, learn, synth
 from corefrank.corpus import Partition
 from corefrank.instances import CLASSIFY
 
@@ -33,6 +34,12 @@ def random_program(rng, n):
     return ilp.IlpProgram("d", n, coref_cost, coref_cost_bar, anaph_cost, anaph_cost_bar)
 
 
+def feasible(p, x, y):
+    return all(not x[(j, k)] or y[k] for (j, k) in p.pairs()) and all(
+        not y[k] or any(x.get((j, k), 0) for j in range(k)) for k in range(p.n)
+    )
+
+
 def enumerate_optimum(p):
     """Exhaustive oracle over all 0/1 assignments."""
     pairs = p.pairs()
@@ -41,13 +48,36 @@ def enumerate_optimum(p):
         x = dict(zip(pairs, x_bits))
         for y_bits in itertools.product((0, 1), repeat=p.n):
             y = dict(enumerate(y_bits))
-            feasible = all(not x[(j, k)] or y[k] for (j, k) in pairs) and all(
-                not y[k] or any(x.get((j, k), 0) for j in range(k)) for k in range(p.n)
-            )
-            if not feasible:
+            if not feasible(p, x, y):
                 continue
             best = min(best, ilp.objective_value(p, x, y))
     return best
+
+
+def highs_solution(p):
+    """Independent MILP solve (HiGHS) from the rows x - y <= 0 and y - sum x <= 0."""
+    pairs = p.pairs()
+    n_x = len(pairs)
+    cost = [p.coref_cost[jk] - p.coref_cost_bar[jk] for jk in pairs]
+    cost += [p.anaph_cost[k] - p.anaph_cost_bar[k] for k in range(p.n)]
+    rows = np.zeros((n_x + p.n, n_x + p.n))
+    for i, (j, k) in enumerate(pairs):
+        rows[i, i], rows[i, n_x + k] = 1.0, -1.0
+        rows[n_x + k, i] = -1.0
+    for k in range(p.n):
+        rows[n_x + k, n_x + k] = 1.0
+    result = milp(
+        cost,
+        constraints=LinearConstraint(rows, -np.inf, 0.0),
+        integrality=np.ones(n_x + p.n),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert result.success
+    bits = np.round(result.x).astype(int)
+    x = {jk: int(bits[i]) for i, jk in enumerate(pairs)}
+    y = {k: int(bits[n_x + k]) for k in range(p.n)}
+    return x, y
 
 
 class TestBuildProgram:
@@ -106,6 +136,9 @@ class TestSolveExact:
         solution = ilp.solve_exact(p)
         n_vars = 3 + 3
         assert solution.objective == pytest.approx(n_vars * math.log(2.0))
+        # A tie keeps y = 0, so nothing links.
+        assert set(solution.y.values()) == {0}
+        assert set(solution.x.values()) == {0}
 
     def test_worked_two_mention_example(self):
         p = ilp.IlpProgram(
@@ -132,6 +165,25 @@ class TestSolveExact:
         solution = ilp.solve_exact(p)
         assert solution.objective == pytest.approx(enumerate_optimum(p))
 
+    def test_forced_link_goes_to_earliest_cheapest(self):
+        # Mention 3 is cheaper anaphoric, but no link into it is strictly
+        # cheaper on than off; the extra costs are 0.7, 0, 0, so only the
+        # earliest of the cheapest, j = 1, is linked.
+        off, on = -math.log(0.8), -math.log(0.2)
+        coref_cost = {(j, k): on for k in range(4) for j in range(k)}
+        coref_cost_bar = {pair: off for pair in coref_cost}
+        for j, extra in enumerate((0.7, 0.0, 0.0)):
+            coref_cost[(j, 3)] = off + extra
+        p = ilp.IlpProgram(
+            "d", 4, coref_cost, coref_cost_bar,
+            anaph_cost={0: -math.log(0.1), 1: -math.log(0.1), 2: -math.log(0.1), 3: -math.log(0.99)},
+            anaph_cost_bar={0: -math.log(0.9), 1: -math.log(0.9), 2: -math.log(0.9), 3: -math.log(0.01)},
+        )
+        solution = ilp.solve_exact(p)
+        assert solution.y == {0: 0, 1: 0, 2: 0, 3: 1}
+        assert [pair for pair, value in solution.x.items() if value] == [(1, 3)]
+        assert solution.objective == pytest.approx(enumerate_optimum(p), abs=1e-9)
+
     def test_matches_enumeration_on_random_programs(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
@@ -153,11 +205,40 @@ class TestSolveExact:
                     assert any(s.x[(j, k)] for j in range(k))
             assert s.y[0] == 0
 
+    def test_matches_highs_beyond_enumeration(self):
+        rng = np.random.default_rng(11)
+        for trial in range(50):
+            n = int(rng.integers(2, 31))  # up to 435 + 30 variables
+            p = random_program(rng, n)
+            solution = ilp.solve_exact(p)
+            x, y = highs_solution(p)
+            assert feasible(p, solution.x, solution.y), trial
+            assert feasible(p, x, y), trial
+            assert solution.objective == pytest.approx(ilp.objective_value(p, x, y), abs=1e-9), trial
+
     def test_variable_limit(self):
         rng = np.random.default_rng(1)
         p = random_program(rng, 10)  # 45 + 10 variables
         with pytest.raises(ValueError, match="variables"):
             ilp.solve_exact(p, max_vars=40)
+
+    def test_limit_is_optional_and_names_the_document(self):
+        rng = np.random.default_rng(1)
+        p = random_program(rng, 10)
+        p.doc_id = "wsj_0042"
+        with pytest.raises(ValueError, match="wsj_0042"):
+            ilp.solve_exact(p, max_vars=54)
+        assert ilp.solve_exact(p).objective == pytest.approx(ilp.solve_exact(p, max_vars=55).objective)
+
+
+class TestResolveIlp:
+    def test_two_hundred_mentions(self):
+        doc = synth.synth_corpus(1, seed=5, mentions_low=200, mentions_high=200)[0]
+        coref = log_model({"STR_MATCH=C": 4.0}, bias=-2.0)
+        anaph = log_model({"STR_MATCH=Y": 3.0}, bias=-1.0)
+        partition = ilp.resolve_ilp(doc, coref, anaph)
+        partition.validate(range(200), doc_id=doc.doc_id)
+        assert len(partition.clusters) < 200
 
 
 class TestDecodePartition:
