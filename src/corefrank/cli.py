@@ -510,8 +510,7 @@ def cmd_train(args) -> None:
     bundle = train_bundle(docs, cfg)
     save_bundle(bundle, args.out)
     if args.dump_instances:
-        train_docs = prepare_test_docs(docs, bundle) if bundle.unseen_vocab else docs
-        instances.dump_instances(_gen_train_set(train_docs, cfg), args.dump_instances)
+        instances.dump_instances(_gen_train_set(prepare_test_docs(docs, bundle), cfg), args.dump_instances)
     print(f"wrote model bundle to {args.out}")
 
 

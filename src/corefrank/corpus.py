@@ -386,6 +386,8 @@ def doc_to_record(doc: Document) -> dict:
 
 
 def doc_from_record(rec: dict) -> Document:
+    if not isinstance(rec, dict):
+        raise CorpusError("malformed document record: expected a JSON object")
     try:
         doc = Document(
             doc_id=rec["doc_id"],
@@ -394,9 +396,9 @@ def doc_from_record(rec: dict) -> Document:
             mentions=[mention_from_record(m) for m in rec["mentions"]],
             gold_partition=Partition(rec["clusters"]),
         )
+        doc.validate()
     except (KeyError, TypeError) as exc:
         raise CorpusError(f"malformed document record: {exc}", doc_id=rec.get("doc_id")) from exc
-    doc.validate()
     return doc
 
 
@@ -437,6 +439,8 @@ def partition_doc_to_record(pd: PartitionDoc) -> dict:
 
 
 def partition_doc_from_record(rec: dict) -> PartitionDoc:
+    if not isinstance(rec, dict):
+        raise CorpusError("malformed partition record: expected a JSON object")
     try:
         spans = {m["id"]: (m["sent"], m["start"], m["end"]) for m in rec["mentions"]}
         pd = PartitionDoc(rec["doc_id"], spans, Partition(rec["clusters"]))

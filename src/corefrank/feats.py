@@ -18,7 +18,7 @@ Feature-name namespaces (collision-free by construction):
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import Counter
 from typing import Iterable
 
 from . import pronouns
@@ -498,17 +498,21 @@ def _predicate_features(
     member_vecs: list[dict[str, float]], rows: Iterable[str]
 ) -> dict[str, float]:
     size = len(member_vecs)
+    counts = Counter(name for vec in member_vecs for name in vec)
+    realized: dict[str, list[str]] = {}
+    for name in counts:
+        row, sep, _ = name.partition("=")
+        if sep:
+            realized.setdefault(row, []).append(name)
     out: dict[str, float] = {}
     for row in rows:
         alphabet = RELATIONAL_ALPHABETS.get(row)
         if alphabet is not None:
             candidates = [f"{row}={value}" for value in alphabet]
         else:
-            prefix = f"{row}="
-            candidates = sorted({name for vec in member_vecs for name in vec if name.startswith(prefix)})
+            candidates = sorted(realized.get(row, ()))
         for name in candidates:
-            count = sum(1 for vec in member_vecs if name in vec)
-            out[f"{predicate_prefix(count, size)}-{name}"] = 1.0
+            out[f"{predicate_prefix(counts[name], size)}-{name}"] = 1.0
     return out
 
 
@@ -525,7 +529,7 @@ def cluster_conventional(doc: Document, c: Iterable[int], k: int) -> dict[str, f
     """Conventional cluster features: the active mention's own block plus one
     logical predicate per binarized relational feature over the cluster."""
     members = _check_cluster(c, k)
-    vecs = [_cached_conventional(doc, j, k) for j in members]
+    vecs = [conventional_pair(doc, j, k) for j in members]
     out = block2_features(doc, doc.mentions[k])
     out.update(_predicate_features(vecs, list(RELATIONAL_ALPHABETS) + list(_CONCAT_ROWS)))
     return out
@@ -566,24 +570,14 @@ def _check_feature_set(fs: str) -> None:
         raise ValueError(f"unknown feature set {fs!r}; expected one of {FEATURE_SETS}")
 
 
-@lru_cache(maxsize=None)
-def _cached_conventional(doc: Document, j: int, k: int) -> dict[str, float]:
-    return conventional_pair(doc, j, k)
-
-
-@lru_cache(maxsize=None)
-def _cached_lexical(doc: Document, j: int, k: int) -> dict[str, float]:
-    return lexical_pair(doc, j, k)
-
-
 def pair_features(doc: Document, j: int, k: int, fs: str) -> dict[str, float]:
     _check_feature_set(fs)
     if fs == CONVENTIONAL:
-        return dict(_cached_conventional(doc, j, k))
+        return conventional_pair(doc, j, k)
     if fs == LEXICAL:
-        return dict(_cached_lexical(doc, j, k))
-    out = dict(_cached_conventional(doc, j, k))
-    out.update(_cached_lexical(doc, j, k))
+        return lexical_pair(doc, j, k)
+    out = conventional_pair(doc, j, k)
+    out.update(lexical_pair(doc, j, k))
     return out
 
 
@@ -597,11 +591,6 @@ def cluster_features(doc: Document, c: Iterable[int], k: int, fs: str) -> dict[s
     out = cluster_conventional(doc, members, k)
     out.update(cluster_lexical(doc, members, k))
     return out
-
-
-def clear_caches() -> None:
-    _cached_conventional.cache_clear()
-    _cached_lexical.cache_clear()
 
 
 # --------------------------------------------------------------------------

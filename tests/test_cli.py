@@ -1,4 +1,7 @@
+import gc
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,12 +77,22 @@ class TestTrainResolveScore:
         assert report["bcubed"]["f1"] > 0.9  # trained and tested on the same docs
         assert len(report["per_doc"]) == 30
 
+    def test_memory_flat_across_repeated_resolves(self):
+        docs = synth.synth_corpus(40, seed=7)
+        bundle = cli.train_bundle(docs[:20], ExperimentConfig(family="cr", features=feats.COMBINED, epochs=3))
+        blocks = []
+        for _ in range(5):
+            cli.resolve_docs(docs[20:], bundle)
+            gc.collect()
+            blocks.append(sys.getallocatedblocks())
+        assert blocks[4] - blocks[1] < 1000, blocks
+
     def test_input_files_not_mutated(self, small_corpus_path, tmp_path):
-        before = open(small_corpus_path, "rb").read()
+        before = Path(small_corpus_path).read_bytes()
         bundle_path = tmp_path / "m.json"
         run(["train", small_corpus_path, "--family", "mp", "--features", "conventional",
              "--epochs", 5, "--out", bundle_path])
-        assert open(small_corpus_path, "rb").read() == before
+        assert Path(small_corpus_path).read_bytes() == before
 
     def test_pipeline_architecture_bundle(self, small_corpus_path, tmp_path):
         bundle_path = tmp_path / "mr.json"
@@ -101,6 +114,23 @@ class TestTrainResolveScore:
         assert lines
         record = json.loads(lines[0])
         assert set(record) == {"group", "label", "features"}
+
+    def test_dump_instances_match_model_vocabulary(self, tmp_path):
+        # every common noun replaced: the training vocabulary is empty, and
+        # the dump must still carry the replaced (UNSEEN) features
+        specs = [("the airline", "COMMON", {}), ("the carrier", "COMMON", {}), ("the airline", "COMMON", {})]
+        docs = [make_doc(f"d{i}", specs, clusters=[[0, 2], [1]]) for i in range(3)]
+        corpus_path = tmp_path / "common.jsonl"
+        corpus.save_corpus(docs, str(corpus_path))
+        bundle_path = tmp_path / "m.json"
+        dump_path = tmp_path / "instances.jsonl"
+        assert run(["train", corpus_path, "--family", "mr", "--features", "lexical", "--unseen-rate", 1.0,
+                    "--epochs", 2, "--out", bundle_path, "--dump-instances", dump_path]) == 0
+        vocab = set(cli.load_bundle(str(bundle_path)).coref_model.meta["feature_vocab"])
+        dumped = {name for line in dump_path.read_text().splitlines()
+                  for name, _ in json.loads(line)["features"]}
+        assert dumped
+        assert dumped <= vocab
 
     def test_ilp_resolve(self, tmp_path, capsys):
         docs = synth.synth_corpus(12, seed=6, mentions_low=3, mentions_high=6)

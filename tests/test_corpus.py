@@ -9,6 +9,7 @@ from corefrank.corpus import (
     doc_from_record,
     head_of,
     load_corpus,
+    load_partition_file,
     save_corpus,
     surface_vocab,
     unseen_test,
@@ -60,6 +61,24 @@ class TestLoadCorpus:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(CorpusError, match="cover the mention universe"):
             load_corpus(str(path))
+
+    @pytest.mark.parametrize("field", ["sent", "head_start", "appositive_with"])
+    def test_mistyped_mention_field_reports_line(self, fig1, tmp_path, field):
+        rec = doc_to_record(fig1)
+        rec["mentions"][1][field] = "1" if field != "sent" else "0"
+        if field == "head_start":
+            rec["mentions"][1]["head_end"] = rec["mentions"][1]["end"]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(doc_to_record(fig1)) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(CorpusError, match="line 2"):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("loader", [load_corpus, load_partition_file])
+    def test_non_object_record_reports_line(self, fig1, tmp_path, loader):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(doc_to_record(fig1)) + "\n" + json.dumps([doc_to_record(fig1)]) + "\n")
+        with pytest.raises(CorpusError, match="line 2"):
+            loader(str(path))
 
     def test_out_of_order_mentions_rejected(self, fig1):
         rec = doc_to_record(fig1)

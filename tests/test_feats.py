@@ -296,6 +296,43 @@ class TestPredicatePartitionLaw:
             assert len(carriers) == 1, (base, carriers)
 
 
+def reference_predicates(member_vecs, rows):
+    """Brute-force reference: scan every member for every candidate name."""
+    size = len(member_vecs)
+    out = {}
+    for row in rows:
+        alphabet = feats.RELATIONAL_ALPHABETS.get(row)
+        if alphabet is not None:
+            candidates = [f"{row}={value}" for value in alphabet]
+        else:
+            prefix = f"{row}="
+            candidates = sorted({name for vec in member_vecs for name in vec if name.startswith(prefix)})
+        for name in candidates:
+            count = sum(1 for vec in member_vecs if name in vec)
+            out[f"{feats.predicate_prefix(count, size)}-{name}"] = 1.0
+    return out
+
+
+_ROWS = list(feats.RELATIONAL_ALPHABETS) + list(feats._CONCAT_ROWS)
+_MEMBER_NAMES = (
+    [f"{row}={value}" for row, alphabet in feats.RELATIONAL_ALPHABETS.items() for value in alphabet]
+    + [f"{row}={a}|{b}" for row in feats._CONCAT_ROWS for a in ("HE", "Y", "SINGULAR") for b in ("N", "PLURAL")]
+    + ["NUMBER'=a=b", "PRO_TYPE'=", "LEX:airline|carrier", "NUMBER'"]
+)
+
+
+class TestPredicateOracle:
+    @given(
+        st.lists(st.lists(st.sampled_from(_MEMBER_NAMES), unique=True), min_size=1, max_size=8),
+        st.lists(st.sampled_from(_ROWS), unique=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_count_matches_scan(self, members, rows):
+        vecs = [dict.fromkeys(names, 1.0) for names in members]
+        got = feats._predicate_features(vecs, rows)
+        assert list(got.items()) == list(reference_predicates(vecs, rows).items())
+
+
 class TestNullOption:
     def test_lexical_head(self):
         doc = make_doc("d", [("the contrary", "COMMON", {})])
