@@ -180,6 +180,8 @@ class Document:
 
     def validate(self) -> None:
         did = self.doc_id
+        if not isinstance(did, str):
+            raise CorpusError(f"invariant 'doc_id is a string' violated: {did!r}")
         if self.source not in SOURCES:
             raise CorpusError(f"invariant 'source is a known value' violated: {self.source!r}", doc_id=did)
         order_key = None
@@ -250,6 +252,14 @@ class PartitionDoc:
     partition: Partition
 
     def validate(self) -> None:
+        if not isinstance(self.doc_id, str):
+            raise CorpusError(f"invariant 'doc_id is a string' violated: {self.doc_id!r}")
+        for mid, span in self.spans.items():
+            if not all(type(v) is int for v in (mid, *span)):
+                raise CorpusError(
+                    f"invariant 'mention id and span are integers' violated at mention {mid!r}",
+                    doc_id=self.doc_id,
+                )
         self.partition.validate(self.spans.keys(), doc_id=self.doc_id)
 
 

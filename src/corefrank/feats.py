@@ -18,8 +18,8 @@ Feature-name namespaces (collision-free by construction):
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from . import pronouns
 from .corpus import Document, Mention, head_of, pronoun_entry
@@ -58,56 +58,85 @@ def distance_bin(sent_j: int, sent_k: int) -> str:
 # --------------------------------------------------------------------------
 
 
-def number_of(doc: Document, m: Mention) -> str:
-    entry = pronoun_entry(doc, m)
+@dataclass(frozen=True, slots=True)
+class MentionAttrs:
+    """Text-derived attributes of one mention.
+
+    ``text`` is the lowercased surface string of the surface ``tokens``;
+    ``head`` and ``pronoun`` are ``corpus.head_of`` and
+    ``corpus.pronoun_entry``; ``modifiers`` are the sorted lowercased
+    non-head tokens after leading determiners (none for proper names);
+    ``initials`` joins the initials of the capitalized tokens; ``compact``
+    is the uppercased text without dots and spaces; ``stripped`` holds the
+    lowercased tokens after leading determiners.
+    """
+
+    text: str
+    tokens: list[str]
+    head: str
+    pronoun: pronouns.PronounEntry | None
+    modifiers: list[str]
+    initials: str
+    compact: str
+    stripped: list[str]
+
+
+def _mention_attrs(doc: Document, m: Mention) -> MentionAttrs:
+    tokens = doc.mention_tokens(m)
+    text = doc.text(m)
+    lowered = [t.lower() for t in tokens]
+    lead = 0
+    while lead < len(lowered) and lowered[lead] in _DETERMINERS:
+        lead += 1
+    modifiers: list[str] = []
+    if m.mtype != "PROPER":
+        hs = m.head_start if m.head_start is not None else m.end - 1
+        he = m.head_end if m.head_end is not None else m.end
+        for pos, t in enumerate(lowered, start=m.start):
+            if not hs <= pos < he and (modifiers or t not in _DETERMINERS):
+                modifiers.append(t)
+    return MentionAttrs(
+        text=text,
+        tokens=tokens,
+        head=head_of(doc, m),
+        pronoun=pronoun_entry(doc, m),
+        modifiers=sorted(modifiers),
+        initials="".join(t[0].upper() for t in tokens if t[:1].isupper()),
+        compact=text.replace(".", "").replace(" ", "").upper(),
+        stripped=lowered[lead:],
+    )
+
+
+def mention_table(doc: Document) -> tuple[MentionAttrs, ...]:
+    """The attributes of every mention of ``doc``, indexed by mention id.
+
+    Built on first use and stored on the document itself, so it lives as
+    long as the document does and no state is shared between documents.
+    It holds only what derives from the sentences and the span and type
+    fields, which do not change after load; flags such as ``unseen`` are
+    read from the mention on every call.
+    """
+    table = doc.__dict__.get("_mention_table")
+    if table is None:
+        table = doc.__dict__["_mention_table"] = tuple(_mention_attrs(doc, m) for m in doc.mentions)
+    return table
+
+
+def _number(entry: pronouns.PronounEntry | None, m: Mention) -> str:
     return entry.number if entry is not None else m.number
 
 
-def gender_of(doc: Document, m: Mention) -> str:
-    entry = pronoun_entry(doc, m)
+def _gender(entry: pronouns.PronounEntry | None, m: Mention) -> str:
     return entry.gender if entry is not None else m.gender
 
 
-def pro_type_of(doc: Document, m: Mention) -> str:
+def _pro_type(entry: pronouns.PronounEntry | None) -> str:
     """Nominative-case form of a pronoun, NA for everything else."""
-    entry = pronoun_entry(doc, m)
     return entry.nominative.upper() if entry is not None else "NA"
 
 
 def animacy_flag(m: Mention) -> str:
     return "Y" if m.animacy == "Y" else "N"
-
-
-def _strip_determiners(tokens: list[str]) -> list[str]:
-    i = 0
-    while i < len(tokens) and tokens[i].lower() in _DETERMINERS:
-        i += 1
-    return tokens[i:]
-
-
-def _modifiers(doc: Document, m: Mention) -> list[str]:
-    """Non-head tokens of the span, minus leading determiners, lowercased."""
-    if m.mtype == "PROPER":
-        return []
-    hs = m.head_start if m.head_start is not None else m.end - 1
-    he = m.head_end if m.head_end is not None else m.end
-    tokens = [
-        t.lower()
-        for i, t in enumerate(doc.mention_tokens(m), start=m.start)
-        if not hs <= i < he
-    ]
-    out = []
-    skipping = True
-    for t in tokens:
-        if skipping and t in _DETERMINERS:
-            continue
-        skipping = False
-        out.append(t)
-    return out
-
-
-def _initials(tokens: list[str]) -> str:
-    return "".join(t[0].upper() for t in tokens if t[:1].isupper())
 
 
 def alias(doc: Document, j: Mention, k: Mention) -> bool:
@@ -118,24 +147,18 @@ def alias(doc: Document, j: Mention, k: Mention) -> bool:
     after determiner stripping and both are proper names, or (c) the
     strings are identical and carry the same non-NONE NE tag.
     """
-    tj = doc.mention_tokens(j)
-    tk = doc.mention_tokens(k)
-    sj = doc.text(j)
-    sk = doc.text(k)
-    compact_j = sj.replace(".", "").replace(" ", "").upper()
-    compact_k = sk.replace(".", "").replace(" ", "").upper()
-    ij = _initials(tj)
-    ik = _initials(tk)
-    if len(ij) >= 2 and compact_k == ij:
+    table = mention_table(doc)
+    aj = table[j.id]
+    ak = table[k.id]
+    if len(aj.initials) >= 2 and ak.compact == aj.initials:
         return True
-    if len(ik) >= 2 and compact_j == ik:
+    if len(ak.initials) >= 2 and aj.compact == ak.initials:
         return True
     if j.mtype == "PROPER" and k.mtype == "PROPER":
-        aj = [t.lower() for t in _strip_determiners(tj)]
-        ak = [t.lower() for t in _strip_determiners(tk)]
-        if aj and ak and (aj == ak[: len(aj)] or ak == aj[: len(ak)]):
+        sj, sk = aj.stripped, ak.stripped
+        if sj and sk and (sj == sk[: len(sj)] or sk == sj[: len(sk)]):
             return True
-    if j.ne_tag != "NONE" and j.ne_tag == k.ne_tag and sj == sk:
+    if j.ne_tag != "NONE" and j.ne_tag == k.ne_tag and aj.text == ak.text:
         return True
     return False
 
@@ -162,20 +185,25 @@ def _agree(a: str, b: str, unknown: str = "UNKNOWN") -> str:
     return _ci(a == b)
 
 
+def _binarize(values: dict[str, str]) -> dict[str, float]:
+    return {f"{name}={value}": 1.0 for name, value in values.items()}
+
+
 def block2_values(doc: Document, m: Mention) -> dict[str, str]:
+    entry = mention_table(doc)[m.id].pronoun
     return {
-        "NUMBER_2": number_of(doc, m),
-        "GENDER_2": gender_of(doc, m),
+        "NUMBER_2": _number(entry, m),
+        "GENDER_2": _gender(entry, m),
         "PRONOUN_2": _yn(m.mtype == "PRONOUN"),
         "NESTED_2": _yn(m.nested),
         "SEMCLASS_2": m.semclass,
         "ANIMACY_2": animacy_flag(m),
-        "PRO_TYPE_2": pro_type_of(doc, m),
+        "PRO_TYPE_2": _pro_type(entry),
     }
 
 
 def block2_features(doc: Document, m: Mention) -> dict[str, float]:
-    return {f"{name}={value}": 1.0 for name, value in block2_values(doc, m).items()}
+    return _binarize(block2_values(doc, m))
 
 
 def _spans_other(j: Mention, k: Mention) -> bool:
@@ -192,41 +220,38 @@ def _copular_pair(j: Mention, k: Mention) -> bool:
     return j.copular_with == k.id or k.copular_with == j.id
 
 
-def conventional_pair(doc: Document, j: int, k: int) -> dict[str, float]:
-    """The 39 binarized conventional features for a candidate/anaphor pair."""
-    if not j < k:
-        raise ValueError(f"pair features require j < k, got ({j}, {k})")
+def relational_values(doc: Document, j: int, k: int) -> dict[str, str]:
+    """Row -> value of the 29 conventional rows that relate the two mentions
+    (every row after block 2), in ``conventional_pair`` order.
+
+    These are the rows the cluster predicates quantify over.
+    """
     mj = doc.mentions[j]
     mk = doc.mentions[k]
-    sj = doc.text(mj)
-    sk = doc.text(mk)
-    hj = head_of(doc, mj)
-    hk = head_of(doc, mk)
+    table = mention_table(doc)
+    aj = table[j]
+    ak = table[k]
+    sj = aj.text
+    sk = ak.text
     pron_j = mj.mtype == "PRONOUN"
     pron_k = mk.mtype == "PRONOUN"
     prop_j = mj.mtype == "PROPER"
     prop_k = mk.mtype == "PROPER"
-    num_j, num_k = number_of(doc, mj), number_of(doc, mk)
-    gen_j, gen_k = gender_of(doc, mj), gender_of(doc, mk)
-    pt_j, pt_k = pro_type_of(doc, mj), pro_type_of(doc, mk)
+    num_j, num_k = _number(aj.pronoun, mj), _number(ak.pronoun, mk)
+    gen_j, gen_k = _gender(aj.pronoun, mj), _gender(ak.pronoun, mk)
+    pt_j, pt_k = _pro_type(aj.pronoun), _pro_type(ak.pronoun)
     values: dict[str, str] = {
-        "PRONOUN_1": _yn(pron_j),
-        "SUBJECT_1": _yn(mj.subject),
-        "NESTED_1": _yn(mj.nested),
+        "HEAD_MATCH": _ci(aj.head == ak.head),
+        "STR_MATCH": _ci(sj == sk),
+        "SUBSTR_MATCH": _ci(sj in sk or sk in sj),
+        "PRO_STR_MATCH": _ci(pron_j and pron_k and sj == sk),
+        "PN_STR_MATCH": _ci(prop_j and prop_k and sj == sk),
+        "NONPRO_STR_MATCH": _ci(not pron_j and not pron_k and sj == sk),
     }
-    values.update(block2_values(doc, mk))
-    values["HEAD_MATCH"] = _ci(hj == hk)
-    values["STR_MATCH"] = _ci(sj == sk)
-    values["SUBSTR_MATCH"] = _ci(sj in sk or sk in sj)
-    values["PRO_STR_MATCH"] = _ci(pron_j and pron_k and sj == sk)
-    values["PN_STR_MATCH"] = _ci(prop_j and prop_k and sj == sk)
-    values["NONPRO_STR_MATCH"] = _ci(not pron_j and not pron_k and sj == sk)
-    mods_j = _modifiers(doc, mj)
-    mods_k = _modifiers(doc, mk)
-    if not mods_j or not mods_k:
+    if not aj.modifiers or not ak.modifiers:
         values["MODIFIER_MATCH"] = "NA"
     else:
-        values["MODIFIER_MATCH"] = _ci(sorted(mods_j) == sorted(mods_k))
+        values["MODIFIER_MATCH"] = _ci(aj.modifiers == ak.modifiers)
     if not (pron_j and pron_k):
         values["PRO_TYPE_MATCH"] = "NA"
     else:
@@ -263,7 +288,22 @@ def conventional_pair(doc: Document, j: int, k: int) -> dict[str, float]:
     values["SEMCLASS'"] = f"{mj.semclass}-{mk.semclass}"
     values["ANIMACY'"] = f"{animacy_flag(mj)}-{animacy_flag(mk)}"
     values["PRO_TYPE'"] = f"{pt_j}-{pt_k}"
-    return {f"{name}={value}": 1.0 for name, value in values.items()}
+    return values
+
+
+def conventional_pair(doc: Document, j: int, k: int) -> dict[str, float]:
+    """The 39 binarized conventional features for a candidate/anaphor pair."""
+    if not j < k:
+        raise ValueError(f"pair features require j < k, got ({j}, {k})")
+    mj = doc.mentions[j]
+    values: dict[str, str] = {
+        "PRONOUN_1": _yn(mj.mtype == "PRONOUN"),
+        "SUBJECT_1": _yn(mj.subject),
+        "NESTED_1": _yn(mj.nested),
+    }
+    values.update(block2_values(doc, doc.mentions[k]))
+    values.update(relational_values(doc, j, k))
+    return _binarize(values)
 
 
 # --------------------------------------------------------------------------
@@ -296,19 +336,15 @@ def _contained_mentions(doc: Document, m: Mention) -> list[Mention]:
 def anaphoricity(doc: Document, k: int) -> dict[str, float]:
     """The 26 binarized features used to decide whether a mention is anaphoric."""
     mk = doc.mentions[k]
-    tokens = doc.mention_tokens(mk)
-    lowered = [t.lower() for t in tokens]
-    stripped = [t.lower() for t in _strip_determiners(tokens)]
-    hk = head_of(doc, mk)
-    preceding = doc.mentions[:k]
-    str_match = any(
-        [t.lower() for t in _strip_determiners(doc.mention_tokens(mj))] == stripped
-        for mj in preceding
-    )
-    head_match = any(head_of(doc, mj) == hk for mj in preceding)
-    alias_match = any(alias(doc, mj, mk) for mj in preceding)
-    first = lowered[0]
-    number = number_of(doc, mk)
+    table = mention_table(doc)
+    ak = table[k]
+    tokens = ak.tokens
+    preceding = table[:k]
+    str_match = any(aj.stripped == ak.stripped for aj in preceding)
+    head_match = any(aj.head == ak.head for aj in preceding)
+    alias_match = any(alias(doc, mj, mk) for mj in doc.mentions[:k])
+    first = tokens[0].lower()
+    number = _number(ak.pronoun, mk)
     rest = tokens[1:]
     the = first == "the"
     # Capitalized tokens count as proper-noun evidence except in
@@ -330,7 +366,7 @@ def anaphoricity(doc: Document, k: int) -> dict[str, float]:
     values = {
         "STR_MATCH": _yn(str_match),
         "HEAD_MATCH": _yn(head_match),
-        "UPPERCASE": _yn(doc.raw_text(mk).isupper()),
+        "UPPERCASE": _yn(" ".join(tokens).isupper()),
         "DEFINITE": _yn(the),
         "DEMONSTRATIVE": _yn(first in _DEMONSTRATIVES),
         "INDEFINITE": _yn(first in {"a", "an"}),
@@ -370,7 +406,7 @@ def anaphoricity(doc: Document, k: int) -> dict[str, float]:
         ),
         "ALIAS": _yn(alias_match),
     }
-    return {f"{name}={value}": 1.0 for name, value in values.items()}
+    return _binarize(values)
 
 
 # --------------------------------------------------------------------------
@@ -388,35 +424,34 @@ def _lexical_core(doc: Document, j: int, k: int) -> dict[str, float]:
     """Unseen, lexical, and semi-lexical features only (no ALIAS/DISTANCE)."""
     mj = doc.mentions[j]
     mk = doc.mentions[k]
+    table = mention_table(doc)
+    aj = table[j]
+    ak = table[k]
     if mj.unseen and mk.unseen:
-        name = "UNSEEN-SAME" if doc.text(mj) == doc.text(mk) else "UNSEEN-DIFF"
+        name = "UNSEEN-SAME" if aj.text == ak.text else "UNSEEN-DIFF"
         return {name: 1.0}
     if mj.unseen or mk.unseen:
         return {}
     ne_j = mj.ne_tag != "NONE"
     ne_k = mk.ne_tag != "NONE"
-    hj = head_of(doc, mj)
-    hk = head_of(doc, mk)
     if not ne_j and not ne_k:
-        return {f"LEX:{hj}|{hk}": 1.0}
+        return {f"LEX:{aj.head}|{ak.head}": 1.0}
     if ne_j != ne_k:
-        left = mj.ne_tag if ne_j else hj
-        right = hk if ne_j else mk.ne_tag
+        left = mj.ne_tag if ne_j else aj.head
+        right = ak.head if ne_j else mk.ne_tag
         return {f"{left}|{right}": 1.0}
-    if doc.text(mj) == doc.text(mk):
+    if aj.text == ak.text:
         return {f"{mj.ne_tag}-SAME": 1.0}
-    if mj.ne_tag == mk.ne_tag and _word_subset(doc.mention_tokens(mj), doc.mention_tokens(mk)):
+    if mj.ne_tag == mk.ne_tag and _word_subset(aj.tokens, ak.tokens):
         return {f"{mj.ne_tag}-SUBSAME": 1.0}
     return {f"{mj.ne_tag}|{mk.ne_tag}": 1.0}
 
 
-def _lexical_conventional(doc: Document, j: int, k: int) -> dict[str, float]:
+def _lexical_values(doc: Document, j: int, k: int) -> dict[str, str]:
+    """The ALIAS and DISTANCE rows the lexical set carries over."""
     mj = doc.mentions[j]
     mk = doc.mentions[k]
-    return {
-        f"ALIAS={_ci(alias(doc, mj, mk))}": 1.0,
-        f"DISTANCE={distance_bin(mj.sent, mk.sent)}": 1.0,
-    }
+    return {"ALIAS": _ci(alias(doc, mj, mk)), "DISTANCE": distance_bin(mj.sent, mk.sent)}
 
 
 def lexical_pair(doc: Document, j: int, k: int) -> dict[str, float]:
@@ -428,14 +463,9 @@ def lexical_pair(doc: Document, j: int, k: int) -> dict[str, float]:
     """
     if not j < k:
         raise ValueError(f"pair features require j < k, got ({j}, {k})")
-    mj = doc.mentions[j]
-    mk = doc.mentions[k]
-    if mj.unseen != mk.unseen:
-        return {}
     core = _lexical_core(doc, j, k)
-    if mj.unseen and mk.unseen:
-        return core
-    core.update(_lexical_conventional(doc, j, k))
+    if not doc.mentions[j].unseen and not doc.mentions[k].unseen:
+        core.update(_binarize(_lexical_values(doc, j, k)))
     return core
 
 
@@ -480,6 +510,15 @@ RELATIONAL_ALPHABETS["DISTANCE"] = _DISTANCE_BINS
 # emitted only for values realized among the member pairs of an instance.
 _CONCAT_ROWS = ("NUMBER'", "GENDER'", "PRONOUN'", "NESTED'", "SEMCLASS'", "ANIMACY'", "PRO_TYPE'")
 _LEXICAL_PREDICATE_ROWS = ("ALIAS", "DISTANCE")
+_CLUSTER_ROWS = tuple(RELATIONAL_ALPHABETS) + _CONCAT_ROWS
+
+
+# For every closed-alphabet row, each (row, value) count key with its four
+# predicate names in PREDICATES order: built once here, not once per cluster.
+_PREDICATE_NAMES: dict[str, tuple[tuple[tuple[str, str], tuple[str, ...]], ...]] = {
+    row: tuple(((row, value), tuple(f"{p}-{row}={value}" for p in PREDICATES)) for value in alphabet)
+    for row, alphabet in RELATIONAL_ALPHABETS.items()
+}
 
 
 def predicate_prefix(count: int, size: int) -> str:
@@ -495,24 +534,39 @@ def predicate_prefix(count: int, size: int) -> str:
 
 
 def _predicate_features(
-    member_vecs: list[dict[str, float]], rows: Iterable[str]
+    members: Sequence[Iterable[tuple[str, str]]], rows: Iterable[str]
 ) -> dict[str, float]:
-    size = len(member_vecs)
-    counts = Counter(name for vec in member_vecs for name in vec)
+    """Predicate features over the ``(row, value)`` pairs of each member.
+
+    A closed-alphabet row yields one predicate per value of its alphabet;
+    any other row yields one per value realized among the members, in
+    sorted order.
+    """
+    size = len(members)
+    # A plain dict, not Counter: Counter.update's isinstance(x, Mapping)
+    # check caches each new iterable type in the ABC registries for the
+    # life of the process.
+    counts: dict[tuple[str, str], int] = {}
+    for items in members:
+        for item in items:
+            counts[item] = counts.get(item, 0) + 1
     realized: dict[str, list[str]] = {}
-    for name in counts:
-        row, sep, _ = name.partition("=")
-        if sep:
-            realized.setdefault(row, []).append(name)
+    for row, value in counts:
+        if row not in _PREDICATE_NAMES:
+            realized.setdefault(row, []).append(value)
     out: dict[str, float] = {}
     for row in rows:
-        alphabet = RELATIONAL_ALPHABETS.get(row)
-        if alphabet is not None:
-            candidates = [f"{row}={value}" for value in alphabet]
+        named = _PREDICATE_NAMES.get(row)
+        if named is not None:
+            for key, names in named:
+                count = counts.get(key, 0)
+                # predicate_prefix's rule as an index into PREDICATES, inlined
+                # because this line runs ~60 times per cluster vector
+                i = 0 if count == 0 else 3 if count == size else 1 if count * 2 < size else 2
+                out[names[i]] = 1.0
         else:
-            candidates = sorted(realized.get(row, ()))
-        for name in candidates:
-            out[f"{predicate_prefix(counts[name], size)}-{name}"] = 1.0
+            for value in sorted(realized.get(row, ())):
+                out[f"{predicate_prefix(counts[row, value], size)}-{row}={value}"] = 1.0
     return out
 
 
@@ -529,9 +583,9 @@ def cluster_conventional(doc: Document, c: Iterable[int], k: int) -> dict[str, f
     """Conventional cluster features: the active mention's own block plus one
     logical predicate per binarized relational feature over the cluster."""
     members = _check_cluster(c, k)
-    vecs = [conventional_pair(doc, j, k) for j in members]
+    values = [relational_values(doc, j, k).items() for j in members]
     out = block2_features(doc, doc.mentions[k])
-    out.update(_predicate_features(vecs, list(RELATIONAL_ALPHABETS) + list(_CONCAT_ROWS)))
+    out.update(_predicate_features(values, _CLUSTER_ROWS))
     return out
 
 
@@ -539,12 +593,16 @@ def cluster_lexical(doc: Document, c: Iterable[int], k: int) -> dict[str, float]
     """Lexical cluster features: predicate-encoded ALIAS/DISTANCE plus the
     pairwise lexical features valued by how often they fire across members."""
     members = _check_cluster(c, k)
-    conv = [_lexical_conventional(doc, j, k) for j in members]
-    out = _predicate_features(conv, _LEXICAL_PREDICATE_ROWS)
+    values = [_lexical_values(doc, j, k).items() for j in members]
+    out = _predicate_features(values, _LEXICAL_PREDICATE_ROWS)
+    _add_lexical_core(out, doc, members, k)
+    return out
+
+
+def _add_lexical_core(out: dict[str, float], doc: Document, members: Iterable[int], k: int) -> None:
     for j in members:
         for name, value in _lexical_core(doc, j, k).items():
             out[name] = out.get(name, 0.0) + value
-    return out
 
 
 def null_option(doc: Document, k: int, fs: str = CONVENTIONAL) -> dict[str, float]:
@@ -555,7 +613,7 @@ def null_option(doc: Document, k: int, fs: str = CONVENTIONAL) -> dict[str, floa
     if fs in (CONVENTIONAL, COMBINED):
         out.update(block2_features(doc, mk))
     if fs in (LEXICAL, COMBINED):
-        name = "NULL-UNSEEN" if mk.unseen else f"NULL-{head_of(doc, mk)}"
+        name = "NULL-UNSEEN" if mk.unseen else f"NULL-{mention_table(doc)[k].head}"
         out[name] = 1.0
     return out
 
@@ -576,8 +634,10 @@ def pair_features(doc: Document, j: int, k: int, fs: str) -> dict[str, float]:
         return conventional_pair(doc, j, k)
     if fs == LEXICAL:
         return lexical_pair(doc, j, k)
+    # The lexical set's ALIAS and DISTANCE names are already in the
+    # conventional vector with the same values, so only its core is added.
     out = conventional_pair(doc, j, k)
-    out.update(lexical_pair(doc, j, k))
+    out.update(_lexical_core(doc, j, k))
     return out
 
 
@@ -588,8 +648,10 @@ def cluster_features(doc: Document, c: Iterable[int], k: int, fs: str) -> dict[s
         return cluster_conventional(doc, members, k)
     if fs == LEXICAL:
         return cluster_lexical(doc, members, k)
+    # As in pair_features: the lexical ALIAS and DISTANCE predicates repeat
+    # conventional ones, so only the lexical core is added.
     out = cluster_conventional(doc, members, k)
-    out.update(cluster_lexical(doc, members, k))
+    _add_lexical_core(out, doc, members, k)
     return out
 
 

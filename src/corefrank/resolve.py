@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import feats, learn
-from .corpus import Document, Partition, head_of
+from .corpus import Document, Partition
 
 HEAD_MATCH = "HEAD_MATCH"
 MENTION_PAIR = "MENTION_PAIR"
@@ -93,9 +93,10 @@ def decide_link(doc: Document, spec: ResolverSpec, k: int, clusters: list[list[i
     start a new one.  ``clusters`` holds the system clusters over mentions
     0..k-1 in creation order."""
     if spec.family == HEAD_MATCH:
-        hk = head_of(doc, doc.mentions[k])
+        table = feats.mention_table(doc)
+        hk = table[k].head
         for ci, cluster in enumerate(clusters):
-            if any(head_of(doc, doc.mentions[j]) == hk for j in cluster):
+            if any(table[j].head == hk for j in cluster):
                 return ci
         return None
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 from scipy.optimize import linear_sum_assignment
 
 from . import pronouns
@@ -454,6 +453,10 @@ def paired_t_test(a: list[float], b: list[float]) -> TTestResult:
     # arithmetic; under floats, variance at rounding scale is degenerate too.
     if sd <= 1e-12 * max(1.0, float(np.abs(diffs).max())):
         return TTestResult(0.0, 1.0, True)
+    # Imported on first use: scipy.stats takes about half a second to
+    # import and nothing else in the package needs it.
+    from scipy import stats
+
     n = len(diffs)
     t = float(diffs.mean()) / (sd / math.sqrt(n))
     p = 2.0 * float(stats.t.sf(abs(t), df=n - 1))

@@ -8,8 +8,10 @@ from corefrank.corpus import (
     doc_to_record,
     doc_from_record,
     head_of,
+    key_partition_doc,
     load_corpus,
     load_partition_file,
+    partition_doc_to_record,
     save_corpus,
     surface_vocab,
     unseen_test,
@@ -79,6 +81,31 @@ class TestLoadCorpus:
         path.write_text(json.dumps(doc_to_record(fig1)) + "\n" + json.dumps([doc_to_record(fig1)]) + "\n")
         with pytest.raises(CorpusError, match="line 2"):
             loader(str(path))
+
+    @pytest.mark.parametrize("loader", [load_corpus, load_partition_file])
+    def test_non_string_doc_id_reports_line(self, fig1, tmp_path, loader):
+        if loader is load_corpus:
+            good = doc_to_record(fig1)
+        else:
+            good = partition_doc_to_record(key_partition_doc(fig1))
+        rec = dict(good)
+        rec["doc_id"] = [1]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(CorpusError, match=r"line 2.*doc_id is a string"):
+            loader(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value", [("sent", "0"), ("start", "0"), ("end", 1.0), ("sent", False), ("id", "1")]
+    )
+    def test_mistyped_partition_span_reports_line(self, fig1, tmp_path, field, value):
+        good = partition_doc_to_record(key_partition_doc(fig1))
+        rec = partition_doc_to_record(key_partition_doc(fig1))
+        rec["mentions"][1][field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(CorpusError, match=r"line 2.*are integers"):
+            load_partition_file(str(path))
 
     def test_out_of_order_mentions_rejected(self, fig1):
         rec = doc_to_record(fig1)

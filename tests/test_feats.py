@@ -1,7 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_feats as ref
 from corefrank import feats
+from corefrank.corpus import Document, Mention, Partition, unseen_test, unseen_train
+from corefrank.synth import synth_corpus
 
 from conftest import make_doc
 
@@ -296,23 +301,6 @@ class TestPredicatePartitionLaw:
             assert len(carriers) == 1, (base, carriers)
 
 
-def reference_predicates(member_vecs, rows):
-    """Brute-force reference: scan every member for every candidate name."""
-    size = len(member_vecs)
-    out = {}
-    for row in rows:
-        alphabet = feats.RELATIONAL_ALPHABETS.get(row)
-        if alphabet is not None:
-            candidates = [f"{row}={value}" for value in alphabet]
-        else:
-            prefix = f"{row}="
-            candidates = sorted({name for vec in member_vecs for name in vec if name.startswith(prefix)})
-        for name in candidates:
-            count = sum(1 for vec in member_vecs if name in vec)
-            out[f"{feats.predicate_prefix(count, size)}-{name}"] = 1.0
-    return out
-
-
 _ROWS = list(feats.RELATIONAL_ALPHABETS) + list(feats._CONCAT_ROWS)
 _MEMBER_NAMES = (
     [f"{row}={value}" for row, alphabet in feats.RELATIONAL_ALPHABETS.items() for value in alphabet]
@@ -329,8 +317,10 @@ class TestPredicateOracle:
     @settings(max_examples=300, deadline=None)
     def test_one_pass_count_matches_scan(self, members, rows):
         vecs = [dict.fromkeys(names, 1.0) for names in members]
-        got = feats._predicate_features(vecs, rows)
-        assert list(got.items()) == list(reference_predicates(vecs, rows).items())
+        # the counter sees each member name as its (row, value) pair
+        values = [[name.partition("=")[::2] for name in names if "=" in name] for names in members]
+        got = feats._predicate_features(values, rows)
+        assert list(got.items()) == list(ref.reference_predicates(vecs, rows).items())
 
 
 class TestNullOption:
@@ -390,3 +380,125 @@ class TestFeatureTyping:
                   "string-matching", "grammatical", "semantic"}
         for name in seen:
             assert feats.fine_feature_type(name) in groups, name
+
+
+def _rich_doc():
+    """Appositive, copular, nested and maximal-NP mentions, head spans,
+    modifiers, demonstratives, quantifiers, an acronym and name prefixes."""
+    sentences = [
+        "The International Business Machines Corp. , IBM , said the big blue company was the leader .".split(),
+        "Those three old firms and these firms bought some of their shares .".split(),
+        "Mr. Smith met Smith and NATO officials .".split(),
+        "He said it was a 1990s thing , every one .".split(),
+        "The old three firms of I.B.M. agreed .".split(),
+        "The firms and NATO said it .".split(),
+    ]
+    specs = [
+        (0, 1, 4, "PROPER", {"ne_tag": "ORGANIZATION", "semclass": "ORGANIZATION", "appositive_with": 1,
+                             "subject": True}),
+        (0, 6, 7, "PROPER", {"ne_tag": "ORGANIZATION", "semclass": "ORGANIZATION"}),
+        (0, 9, 13, "COMMON", {"head_start": 12, "head_end": 13, "definite": True, "copular_with": 3,
+                              "maximalnp_group": 1, "number": "SINGULAR"}),
+        (0, 14, 16, "COMMON", {"definite": True, "maximalnp_group": 1, "number": "SINGULAR"}),
+        (1, 0, 4, "COMMON", {"head_start": 3, "head_end": 4, "demonstrative": True, "number": "PLURAL",
+                             "subject": True}),
+        (1, 5, 7, "COMMON", {"demonstrative": True, "number": "PLURAL", "animacy": "N"}),
+        (1, 10, 11, "PRONOUN", {"nested": True}),
+        (1, 10, 12, "COMMON", {"number": "PLURAL", "embedded": True}),
+        (2, 0, 2, "PROPER", {"ne_tag": "PERSON", "semclass": "PERSON", "gender": "MALE", "animacy": "Y"}),
+        (2, 3, 4, "PROPER", {"ne_tag": "PERSON", "semclass": "PERSON", "animacy": "Y"}),
+        (2, 5, 6, "PROPER", {"ne_tag": "ORGANIZATION"}),
+        (2, 5, 7, "COMMON", {"number": "PLURAL", "animacy": "Y"}),
+        (3, 0, 1, "PRONOUN", {"subject": True}),
+        (3, 2, 3, "PRONOUN", {}),
+        (3, 4, 7, "COMMON", {"indefinite": True}),
+        (3, 8, 10, "COMMON", {"quantified": True}),
+        (4, 0, 4, "COMMON", {"definite": True, "number": "PLURAL"}),
+        (4, 5, 6, "PROPER", {"ne_tag": "ORGANIZATION", "semclass": "ORGANIZATION"}),
+        (5, 0, 2, "COMMON", {"definite": True, "number": "PLURAL", "subject": True}),
+        (5, 3, 4, "PROPER", {"ne_tag": "ORGANIZATION"}),
+        (5, 5, 6, "PRONOUN", {}),
+    ]
+    mentions = [
+        Mention(id=i, sent=s, start=a, end=b, mtype=t, **extra) for i, (s, a, b, t, extra) in enumerate(specs)
+    ]
+    clusters = [[0, 1, 2, 3, 17], [4, 5, 16, 18], [6, 7], [8, 9, 12], [10, 11, 19], [13, 14, 20], [15]]
+    doc = Document("rich", "NW", sentences, mentions, Partition(clusters))
+    doc.validate()
+    return doc
+
+
+@pytest.fixture
+def oracle_docs(fig1):
+    """fig1, the rich document alone and with every other surface string
+    unseen, and synthetic documents with unseen common nouns."""
+    rich = _rich_doc()
+    vocab = {rich.text(m) for m in rich.mentions[::2]}
+    synth = unseen_train(synth_corpus(3, seed=17, mentions_low=12, mentions_high=16), 0.4, seed=2)
+    docs = [fig1, rich, *unseen_test([rich], vocab), *synth]
+    assert any(m.unseen for d in docs for m in d.mentions)
+    assert {m.mtype for d in docs for m in d.mentions} == {"PRONOUN", "PROPER", "COMMON"}
+    return docs
+
+
+def _clusters(doc, k, rng):
+    """Gold prefix clusters of mention k plus three random subsets of 0..k-1."""
+    out = [tuple(m for m in c if m < k) for c in doc.gold_partition.clusters]
+    out = [c for c in out if c]
+    out += [tuple(rng.sample(range(k), rng.randint(1, k))) for _ in range(3)]
+    return out
+
+
+class TestTableOracle:
+    """The table-based extractors against reference_feats, which derives
+    every attribute from scratch and counts predicates by name scan."""
+
+    def test_pair_features(self, oracle_docs):
+        for doc in oracle_docs:
+            for k in range(len(doc.mentions)):
+                for j in range(k):
+                    for fs in feats.FEATURE_SETS:
+                        got = feats.pair_features(doc, j, k, fs)
+                        want = ref.pair_features(doc, j, k, fs)
+                        assert list(got.items()) == list(want.items()), (doc.doc_id, j, k, fs)
+
+    def test_anaphoricity_and_null_option(self, oracle_docs):
+        for doc in oracle_docs:
+            for k in range(len(doc.mentions)):
+                assert list(feats.anaphoricity(doc, k).items()) == list(ref.anaphoricity(doc, k).items())
+                for fs in feats.FEATURE_SETS:
+                    got = feats.null_option(doc, k, fs)
+                    assert list(got.items()) == list(ref.null_option(doc, k, fs).items()), (doc.doc_id, k, fs)
+
+    def test_cluster_features(self, oracle_docs):
+        rng = random.Random(5)
+        for doc in oracle_docs:
+            for k in range(1, len(doc.mentions)):
+                for cluster in _clusters(doc, k, rng):
+                    for fs in feats.FEATURE_SETS:
+                        got = feats.cluster_features(doc, cluster, k, fs)
+                        want = ref.cluster_features(doc, cluster, k, fs)
+                        assert list(got.items()) == list(want.items()), (doc.doc_id, cluster, k, fs)
+
+    def test_rich_doc_exercises_the_text_rows(self):
+        doc = _rich_doc()
+        fired = set()
+        for k in range(len(doc.mentions)):
+            fired |= set(feats.anaphoricity(doc, k))
+            for j in range(k):
+                fired |= set(feats.pair_features(doc, j, k, feats.COMBINED))
+        for name in ("ALIAS=C", "MODIFIER_MATCH=C", "MODIFIER_MATCH=I", "APPOSITIVE=C", "COPULAR=C",
+                     "MAXIMALNP=I", "SPAN=I", "SUBSTR_MATCH=C", "ORGANIZATION-SAME", "PERSON-SUBSAME",
+                     "CONTAINS_PN=Y", "DEMONSTRATIVE=Y", "QUANTIFIED=Y", "STR_MATCH=Y", "UPPERCASE=Y",
+                     "PRO_TYPE_MATCH=C", "PRO_TYPE_MATCH=I"):
+            assert name in fired, name
+
+    def test_flags_are_read_live(self):
+        doc = make_doc("d", [("the airline", "COMMON", {}), ("the carrier", "COMMON", {})])
+        assert "LEX:airline|carrier" in feats.lexical_pair(doc, 0, 1)
+        assert feats.null_option(doc, 1, feats.LEXICAL) == {"NULL-carrier": 1.0}
+        doc.mentions[0].unseen = True
+        doc.mentions[1].unseen = True
+        assert feats.lexical_pair(doc, 0, 1) == {"UNSEEN-DIFF": 1.0}
+        assert feats.null_option(doc, 1, feats.LEXICAL) == {"NULL-UNSEEN": 1.0}
+        assert feats.cluster_lexical(doc, [0], 1)["UNSEEN-DIFF"] == 1.0

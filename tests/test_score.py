@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +351,22 @@ class TestPairedTTest:
         reference = sps.ttest_rel(a, b)
         assert ours.t == pytest.approx(reference.statistic, rel=1e-12)
         assert ours.p_value == pytest.approx(reference.pvalue, rel=1e-12)
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # a fresh interpreter: this test process has loaded scipy.stats already
+        src = str(Path(score.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import corefrank.cli\n"
+            "from corefrank import score\n"
+            "assert 'scipy.stats' not in sys.modules, 'imported at load'\n"
+            "result = score.paired_t_test([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])\n"
+            "assert abs(result.p_value - 0.030466291662170977) < 1e-12, result\n"
+            "assert 'scipy.stats' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
