@@ -506,6 +506,8 @@ def cmd_synth(args) -> None:
 
 def cmd_train(args) -> None:
     cfg = _cfg_from_args(args)
+    if args.dump_instances and FAMILY_CODES[cfg.family] == resolve.HEAD_MATCH:
+        raise ValueError(f"--dump-instances: family {cfg.family!r} is not trainable")
     docs = corpus_mod.load_corpus(args.corpus)
     bundle = train_bundle(docs, cfg)
     save_bundle(bundle, args.out)

@@ -38,6 +38,15 @@ SEMCLASS_VALUES = (
 ANIMACY_VALUES = ("Y", "N", "UNKNOWN")
 NE_VALUES = ("PERSON", "LOCATION", "ORGANIZATION", "NONE")
 SOURCES = ("BN", "BC", "NW", "WL", "UN", "CTS", "OTHER")
+_MENTION_FIELD_TYPES = {  # exact types: a bool is not accepted as an int
+    **dict.fromkeys(("id", "sent", "start", "end"), (int,)),
+    **dict.fromkeys(
+        ("head_start", "head_end", "appositive_with", "copular_with", "maximalnp_group"), (int, type(None))
+    ),
+    **dict.fromkeys(
+        ("subject", "nested", "embedded", "indefinite", "definite", "demonstrative", "quantified", "unseen"), (bool,)
+    ),
+}
 
 
 class CorpusError(ValueError):
@@ -186,6 +195,14 @@ class Document:
             raise CorpusError(f"invariant 'source is a known value' violated: {self.source!r}", doc_id=did)
         order_key = None
         for i, m in enumerate(self.mentions):
+            for attr, allowed in _MENTION_FIELD_TYPES.items():
+                value = getattr(m, attr)
+                if type(value) not in allowed:
+                    raise CorpusError(
+                        f"invariant '{attr} is {'a boolean' if allowed[0] is bool else 'an integer'}' "
+                        f"violated at mention {i}: {value!r}",
+                        doc_id=did,
+                    )
             if m.id != i:
                 raise CorpusError(
                     f"invariant 'mention ids are 0..n-1 in document order' violated at index {i}",

@@ -63,7 +63,8 @@ def merge(train_sets: Iterable[TrainSet]) -> TrainSet:
     if len(kinds) != 1:
         raise ValueError(f"cannot merge train sets of different kinds: {kinds}")
     instances = [inst for ts in sets for inst in ts.instances]
-    return TrainSet.build(instances, kinds.pop())
+    vocab = dict.fromkeys(name for ts in sets for name in ts.feature_vocab)
+    return TrainSet(instances, list(vocab), kinds.pop())
 
 
 def _group_id(doc: Document, k: int) -> str:
@@ -76,60 +77,54 @@ def _closest_antecedent(doc: Document, k: int) -> int | None:
     return max(earlier) if earlier else None
 
 
-def _prefix_clusters(doc: Document, k: int) -> list[tuple[int, ...]]:
-    """Gold clusters restricted to mentions preceding k, empty ones dropped."""
-    out = []
-    for cluster in doc.gold_partition.clusters:
-        prefix = tuple(m for m in cluster if m < k)
-        if prefix:
-            out.append(prefix)
-    return out
+def _generate(doc: Document, fs: str, over_clusters: bool, kind: str, joint: bool) -> TrainSet:
+    """Instances of one model family, built from its two choices.
+
+    Candidates for mention k are the preceding mentions in ascending order,
+    or (``over_clusters``) the gold prefix clusters in gold order; each has
+    a last mention and is correct iff it holds the closest antecedent j.
+    Without ``joint`` only anaphoric mentions get a group.  Classifiers and
+    the mention ranker without ``joint`` skip candidates whose last mention
+    precedes j; ``joint`` adds the new-cluster instance, correct iff k is
+    non-anaphoric.  Labels are +1/-1 for CLASSIFY and 2/1 for RANK.
+    """
+    good, bad = (1.0, -1.0) if kind == CLASSIFY else (2.0, 1.0)
+    keep_all = joint or (over_clusters and kind == RANK)
+    featurize = feats.cluster_features if over_clusters else feats.pair_features
+    instances = []
+    for k in range(len(doc.mentions)):
+        j = _closest_antecedent(doc, k)
+        if j is None and not joint:
+            continue
+        group = _group_id(doc, k)
+        if over_clusters:
+            prefixes = (tuple(m for m in c if m < k) for c in doc.gold_partition.clusters)
+            candidates = [(c, max(c), j in c) for c in prefixes if c]
+        else:
+            candidates = [(t, t, t == j) for t in range(k)]
+        for cand, last, correct in candidates:
+            if keep_all or last >= j:
+                label = good if correct else bad
+                instances.append(Instance(featurize(doc, cand, k, fs), label, group, (doc.doc_id, k, cand)))
+        if joint:
+            label = good if j is None else bad
+            instances.append(
+                Instance(feats.null_option(doc, k, fs), label, group, (doc.doc_id, k, NULL_CANDIDATE))
+            )
+    return TrainSet.build(instances, kind)
 
 
 def gen_mention_pair(doc: Document, fs: str) -> TrainSet:
     """One positive instance per anaphoric mention and its closest antecedent,
     one negative per intervening mention."""
-    instances = []
-    for k in range(len(doc.mentions)):
-        j = _closest_antecedent(doc, k)
-        if j is None:
-            continue
-        group = _group_id(doc, k)
-        for t in range(j, k):
-            label = 1.0 if t == j else -1.0
-            instances.append(
-                Instance(feats.pair_features(doc, t, k, fs), label, group, (doc.doc_id, k, t))
-            )
-    return TrainSet.build(instances, CLASSIFY)
+    return _generate(doc, fs, over_clusters=False, kind=CLASSIFY, joint=False)
 
 
 def gen_entity_mention(doc: Document, fs: str) -> TrainSet:
     """Positive instance against the anaphor's own gold prefix cluster,
     negatives against every prefix cluster whose last mention lies between
     the anaphor and its closest antecedent."""
-    instances = []
-    for k in range(len(doc.mentions)):
-        j = _closest_antecedent(doc, k)
-        if j is None:
-            continue
-        group = _group_id(doc, k)
-        own = tuple(m for m in doc.gold_partition.cluster_of(k) if m < k)
-        for cluster in _prefix_clusters(doc, k):
-            if cluster == own:
-                label = 1.0
-            elif j < max(cluster) < k:
-                label = -1.0
-            else:
-                continue
-            instances.append(
-                Instance(
-                    feats.cluster_features(doc, cluster, k, fs),
-                    label,
-                    group,
-                    (doc.doc_id, k, cluster),
-                )
-            )
-    return TrainSet.build(instances, CLASSIFY)
+    return _generate(doc, fs, over_clusters=True, kind=CLASSIFY, joint=False)
 
 
 def gen_mention_ranking(doc: Document, fs: str, joint: bool = False) -> TrainSet:
@@ -140,59 +135,13 @@ def gen_mention_ranking(doc: Document, fs: str, joint: bool = False) -> TrainSet
     preceding mentions plus a new-cluster instance ranked 2 iff the mention
     is non-anaphoric.
     """
-    instances = []
-    for k in range(len(doc.mentions)):
-        j = _closest_antecedent(doc, k)
-        group = _group_id(doc, k)
-        if not joint:
-            if j is None:
-                continue
-            candidates = range(j, k)
-        else:
-            candidates = range(k)
-        for t in candidates:
-            label = 2.0 if t == j else 1.0
-            instances.append(
-                Instance(feats.pair_features(doc, t, k, fs), label, group, (doc.doc_id, k, t))
-            )
-        if joint:
-            label = 2.0 if j is None else 1.0
-            instances.append(
-                Instance(
-                    feats.null_option(doc, k, fs), label, group, (doc.doc_id, k, NULL_CANDIDATE)
-                )
-            )
-    return TrainSet.build(instances, RANK)
+    return _generate(doc, fs, over_clusters=False, kind=RANK, joint=joint)
 
 
 def gen_cluster_ranking(doc: Document, fs: str, joint: bool = False) -> TrainSet:
     """Rank all gold prefix clusters: 2 for the cluster the anaphor belongs
     to, 1 otherwise; the joint option adds the new-cluster instance."""
-    instances = []
-    for k in range(len(doc.mentions)):
-        anaphoric = _closest_antecedent(doc, k) is not None
-        if not joint and not anaphoric:
-            continue
-        group = _group_id(doc, k)
-        own = tuple(m for m in doc.gold_partition.cluster_of(k) if m < k)
-        for cluster in _prefix_clusters(doc, k):
-            label = 2.0 if cluster == own else 1.0
-            instances.append(
-                Instance(
-                    feats.cluster_features(doc, cluster, k, fs),
-                    label,
-                    group,
-                    (doc.doc_id, k, cluster),
-                )
-            )
-        if joint:
-            label = 1.0 if anaphoric else 2.0
-            instances.append(
-                Instance(
-                    feats.null_option(doc, k, fs), label, group, (doc.doc_id, k, NULL_CANDIDATE)
-                )
-            )
-    return TrainSet.build(instances, RANK)
+    return _generate(doc, fs, over_clusters=True, kind=RANK, joint=joint)
 
 
 def gen_anaphoricity(doc: Document) -> TrainSet:

@@ -21,6 +21,7 @@ CLUSTER_RANKING = "CLUSTER_RANKING"
 FAMILIES = (HEAD_MATCH, MENTION_PAIR, ENTITY_MENTION, MENTION_RANKING, CLUSTER_RANKING)
 CLASSIFIER_FAMILIES = (MENTION_PAIR, ENTITY_MENTION)
 RANKING_FAMILIES = (MENTION_RANKING, CLUSTER_RANKING)
+CLUSTER_FAMILIES = (ENTITY_MENTION, CLUSTER_RANKING)
 
 CLOSEST_FIRST = "CLOSEST_FIRST"
 BEST_FIRST = "BEST_FIRST"
@@ -62,36 +63,34 @@ class ResolverSpec:
                 raise ValueError(f"unknown anaphoricity mode {self.anaph!r}")
 
 
-def _positive(model: learn.LinearModel, vec: dict[str, float]) -> bool:
-    """Coreference decision of a classifier: strictly above the threshold."""
+def _strength(model: learn.LinearModel, vec: dict[str, float]) -> tuple[float, float]:
+    """A classifier's confidence and its threshold: it links strictly above it."""
     if model.loss == learn.LOG:
-        return learn.predict_prob(model, vec) > 0.5
-    return learn.score(model, vec) > 0.0
-
-
-def _strength(model: learn.LinearModel, vec: dict[str, float]) -> float:
-    if model.loss == learn.LOG:
-        return learn.predict_prob(model, vec)
-    return learn.score(model, vec)
-
-
-def _cluster_distance(doc: Document, cluster: list[int], k: int) -> int:
-    """Token-offset distance from mention k back to the cluster's last mention."""
-    last = max(cluster)
-    return doc.token_offset(doc.mentions[k]) - doc.token_offset(doc.mentions[last])
+        return learn.predict_prob(model, vec), 0.5
+    return learn.score(model, vec), 0.0
 
 
 def _gated_out(doc: Document, spec: ResolverSpec, k: int) -> bool:
     if spec.anaph != PIPELINE:
         return False
-    vec = feats.anaphoricity(doc, k)
-    return not _positive(spec.anaph_model, vec)
+    prob, threshold = _strength(spec.anaph_model, feats.anaphoricity(doc, k))
+    return not prob > threshold
 
 
 def decide_link(doc: Document, spec: ResolverSpec, k: int, clusters: list[list[int]]) -> int | None:
     """Decide which of the current clusters mention k joins, or None to
     start a new one.  ``clusters`` holds the system clusters over mentions
-    0..k-1 in creation order."""
+    0..k-1 in creation order.
+
+    Candidates are the preceding clusters (entity-mention, cluster ranking)
+    or the preceding mentions (mention pair, mention ranking), each with its
+    cluster and last mention.  A classifier links to the closest positive
+    candidate, or to the best one with ties going to the closest, where
+    closest means the highest last-mention id.  A ranker takes the best
+    candidate, with ties going to the largest token offset of the last
+    mention and then to the earlier candidate; preceding mentions are listed
+    nearest first, so among mentions this is the closest too.
+    """
     if spec.family == HEAD_MATCH:
         table = feats.mention_table(doc)
         hk = table[k].head
@@ -100,64 +99,38 @@ def decide_link(doc: Document, spec: ResolverSpec, k: int, clusters: list[list[i
                 return ci
         return None
 
-    if spec.family == MENTION_PAIR:
-        positives = []
-        for j in range(k):
-            vec = feats.pair_features(doc, j, k, spec.fs)
-            if _positive(spec.coref_model, vec):
-                positives.append((j, _strength(spec.coref_model, vec)))
-        if not positives:
-            return None
-        if spec.linking == CLOSEST_FIRST:
-            j = max(p[0] for p in positives)
-        else:
-            best = max(s for _, s in positives)
-            j = max(j for j, s in positives if s == best)
-        return next(ci for ci, cluster in enumerate(clusters) if j in cluster)
-
-    if spec.family == ENTITY_MENTION:
-        positives = []
-        for ci, cluster in enumerate(clusters):
-            vec = feats.cluster_features(doc, cluster, k, spec.fs)
-            if _positive(spec.coref_model, vec):
-                positives.append((ci, max(cluster), _strength(spec.coref_model, vec)))
-        if not positives:
-            return None
-        if spec.linking == CLOSEST_FIRST:
-            return max(positives, key=lambda p: p[1])[0]
-        best = max(s for _, _, s in positives)
-        return max((p for p in positives if p[2] == best), key=lambda p: p[1])[0]
-
-    if spec.family == MENTION_RANKING:
-        if k == 0 or _gated_out(doc, spec, k):
-            return None
-        scores = [
-            (j, learn.score(spec.coref_model, feats.pair_features(doc, j, k, spec.fs)))
-            for j in range(k)
-        ]
-        best = max(s for _, s in scores)
-        j = max(j for j, s in scores if s == best)  # ties toward the closest
-        if spec.anaph == JOINT:
-            null_score = learn.score(spec.coref_model, feats.null_option(doc, k, spec.fs))
-            # An exact tie against the new-cluster option resolves to the link.
-            if null_score > best:
-                return None
-        return next(ci for ci, cluster in enumerate(clusters) if j in cluster)
-
-    # CLUSTER_RANKING
-    if not clusters or _gated_out(doc, spec, k):
+    model = spec.coref_model
+    ranker = spec.family in RANKING_FAMILIES
+    if not clusters or (ranker and _gated_out(doc, spec, k)):
         return None
-    scores = [
-        (ci, learn.score(spec.coref_model, feats.cluster_features(doc, cluster, k, spec.fs)))
-        for ci, cluster in enumerate(clusters)
-    ]
-    best = max(s for _, s in scores)
-    tied = [ci for ci, s in scores if s == best]
-    ci = min(tied, key=lambda c: _cluster_distance(doc, clusters[c], k))
-    if spec.anaph == JOINT:
-        null_score = learn.score(spec.coref_model, feats.null_option(doc, k, spec.fs))
-        if null_score > best:
-            return None
+    # Generators: each vector is dropped as soon as it is scored.
+    if spec.family in CLUSTER_FAMILIES:
+        candidates = (
+            (ci, max(cluster), feats.cluster_features(doc, cluster, k, spec.fs))
+            for ci, cluster in enumerate(clusters)
+        )
+    else:
+        owner = {j: ci for ci, cluster in enumerate(clusters) for j in cluster}
+        candidates = ((owner[j], j, feats.pair_features(doc, j, k, spec.fs)) for j in reversed(range(k)))
+
+    if not ranker:
+        positives = []
+        for ci, last, vec in candidates:
+            strength, threshold = _strength(model, vec)
+            if strength > threshold:
+                positives.append((ci, last, strength))
+        if spec.linking == BEST_FIRST and positives:
+            best = max(s for _, _, s in positives)
+            positives = [p for p in positives if p[2] == best]
+        return max(positives, key=lambda p: p[1])[0] if positives else None
+
+    scores = [(ci, last, learn.score(model, vec)) for ci, last, vec in candidates]
+    best = max(s for _, _, s in scores)
+    tied = [(ci, last) for ci, last, s in scores if s == best]
+    ci = max(tied, key=lambda t: doc.token_offset(doc.mentions[t[1]]))[0]
+    # An exact tie against the new-cluster option resolves to the link.
+    if spec.anaph == JOINT and learn.score(model, feats.null_option(doc, k, spec.fs)) > best:
+        return None
     return ci
 
 

@@ -115,6 +115,15 @@ class TestTrainResolveScore:
         record = json.loads(lines[0])
         assert set(record) == {"group", "label", "features"}
 
+    def test_dump_instances_head_match_rejected_before_writing(self, small_corpus_path, tmp_path, capsys):
+        bundle_path = tmp_path / "m.json"
+        dump_path = tmp_path / "instances.jsonl"
+        assert run(["train", small_corpus_path, "--family", "hm", "--out", bundle_path,
+                    "--dump-instances", dump_path]) == 1
+        assert "not trainable" in json.loads(capsys.readouterr().err)["detail"]
+        assert not bundle_path.exists()
+        assert not dump_path.exists()
+
     def test_dump_instances_match_model_vocabulary(self, tmp_path):
         # every common noun replaced: the training vocabulary is empty, and
         # the dump must still carry the replaced (UNSEEN) features

@@ -64,15 +64,21 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="cover the mention universe"):
             load_corpus(str(path))
 
-    @pytest.mark.parametrize("field", ["sent", "head_start", "appositive_with"])
-    def test_mistyped_mention_field_reports_line(self, fig1, tmp_path, field):
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sent", "0"), ("head_start", "1"), ("appositive_with", "1"), ("start", False), ("id", True),
+         ("subject", "yes"), ("nested", 1), ("head_end", 5.0)],
+        ids=["sent", "head_start", "appositive_with", "start-false", "id-true", "subject-str", "nested-int",
+             "head_end-float"],
+    )
+    def test_mistyped_mention_field_reports_line(self, fig1, tmp_path, field, value):
         rec = doc_to_record(fig1)
-        rec["mentions"][1][field] = "1" if field != "sent" else "0"
-        if field == "head_start":
-            rec["mentions"][1]["head_end"] = rec["mentions"][1]["end"]
+        mention = rec["mentions"][1]
+        mention["head_start"], mention["head_end"] = mention["start"], mention["end"]
+        mention[field] = value
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(doc_to_record(fig1)) + "\n" + json.dumps(rec) + "\n")
-        with pytest.raises(CorpusError, match="line 2"):
+        with pytest.raises(CorpusError, match=rf"line 2.*'{field} is an? (integer|boolean)' violated at mention 1"):
             load_corpus(str(path))
 
     @pytest.mark.parametrize("loader", [load_corpus, load_partition_file])

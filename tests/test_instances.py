@@ -1,8 +1,11 @@
 import pytest
 
 from corefrank import feats, instances
+from corefrank.corpus import unseen_train
 from corefrank.instances import CLASSIFY, RANK, NULL_CANDIDATE
+from corefrank.synth import synth_corpus
 
+import reference_families as ref
 from conftest import make_doc
 
 
@@ -130,6 +133,40 @@ class TestClusterRanking:
                 assert sum(1 for m in members if m.label == 2.0) == 1, group
 
 
+GENERATORS = pytest.mark.parametrize(
+    "gen, reference, args",
+    [(instances.gen_mention_pair, ref.gen_mention_pair, ()),
+     (instances.gen_entity_mention, ref.gen_entity_mention, ()),
+     (instances.gen_mention_ranking, ref.gen_mention_ranking, (False,)),
+     (instances.gen_mention_ranking, ref.gen_mention_ranking, (True,)),
+     (instances.gen_cluster_ranking, ref.gen_cluster_ranking, (False,)),
+     (instances.gen_cluster_ranking, ref.gen_cluster_ranking, (True,))],
+    ids=["mp", "em", "mr", "mr-joint", "cr", "cr-joint"],
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_docs():
+    """Short synth docs, some with unseen strings, and two 40-mention docs."""
+    short = synth_corpus(6, seed=17)
+    long = synth_corpus(2, seed=5, mentions_low=40, mentions_high=40)
+    return short + unseen_train(short[:3], 0.5, seed=2) + long
+
+
+def _rows(ts):
+    return [(list(i.vec.items()), i.label, i.group, i.meta) for i in ts.instances], ts.kind, ts.feature_vocab
+
+
+class TestFamiliesMatchReference:
+    """The generic generator against the per-family generators it replaced."""
+
+    @pytest.mark.parametrize("fs", feats.FEATURE_SETS)
+    @GENERATORS
+    def test_same_instances(self, fig1, oracle_docs, fs, gen, reference, args):
+        for doc in [fig1, *oracle_docs]:
+            assert _rows(gen(doc, fs, *args)) == _rows(reference(doc, fs, *args)), doc.doc_id
+
+
 class TestAnaphoricityInstances:
     def test_fig1_labels(self, fig1):
         ts = instances.gen_anaphoricity(fig1)
@@ -159,6 +196,14 @@ class TestMergeAndDump:
         assert len(merged.instances) == 2 * len(a.instances)
         with pytest.raises(ValueError):
             instances.merge([a, instances.gen_mention_ranking(fig1, feats.CONVENTIONAL)])
+
+    @GENERATORS
+    def test_merged_vocab_matches_rebuild(self, fig1, gen, reference, args):
+        sets = [gen(doc, feats.COMBINED, *args) for doc in [fig1, *synth_corpus(8, seed=4)]]
+        merged = instances.merge(sets)
+        rebuilt = instances.TrainSet.build([i for ts in sets for i in ts.instances], sets[0].kind)
+        assert merged.feature_vocab == rebuilt.feature_vocab
+        assert merged.instances == rebuilt.instances
 
     def test_dump_format(self, fig1, tmp_path):
         import json

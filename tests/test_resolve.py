@@ -1,10 +1,14 @@
+import random
+
 import numpy as np
 import pytest
 
 from corefrank import feats, learn, resolve
 from corefrank.corpus import Document, Mention, Partition
 from corefrank.instances import CLASSIFY, RANK
+from corefrank.synth import synth_corpus
 
+import reference_families as ref
 from conftest import make_doc
 
 
@@ -270,3 +274,97 @@ class TestResolverProperties:
                 baseline = results
             else:
                 assert results == baseline
+
+
+def _integer_model(rng, vocab, n_names, kind, loss):
+    """Small integer weights on a few names, so that exact ties are common."""
+    names = rng.sample(vocab, k=n_names)
+    weights = {n: float(rng.choice((-2, -1, 1, 2))) for n in names}
+    return learn.LinearModel(weights, float(rng.choice((-1, 0, 1))), kind, loss, {})
+
+
+def _ordered_partitions(n):
+    """Every list of disjoint clusters over 0..n-1, in every creation order."""
+    if n == 0:
+        yield []
+        return
+    for part in _ordered_partitions(n - 1):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [n - 1]] + part[i + 1:]
+        for i in range(len(part) + 1):
+            yield part[:i] + [[n - 1]] + part[i:]
+
+
+SPECS = (
+    [(resolve.HEAD_MATCH, None, None, None)]
+    + [(family, loss, linking, None)
+       for family in resolve.CLASSIFIER_FAMILIES
+       for loss in (learn.HINGE, learn.LOG)
+       for linking in (resolve.CLOSEST_FIRST, resolve.BEST_FIRST)]
+    + [(family, loss, None, anaph)
+       for family in resolve.RANKING_FAMILIES
+       for loss in (learn.HINGE, learn.LOG)
+       for anaph in (resolve.JOINT, resolve.PIPELINE)]
+)
+
+
+class TestFamiliesMatchReference:
+    """The generic link decision against the per-family branches it replaced."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        docs = [*synth_corpus(6, seed=23), *synth_corpus(1, seed=9, mentions_low=40, mentions_high=40)]
+        vocab = {}
+        for doc in docs:
+            for ts in (ref.gen_mention_ranking(doc, feats.COMBINED, joint=True),
+                       ref.gen_cluster_ranking(doc, feats.COMBINED, joint=True)):
+                vocab.update(dict.fromkeys(ts.feature_vocab))
+        anaph_vocab = sorted({n for doc in docs for k in range(len(doc.mentions))
+                              for n in feats.anaphoricity(doc, k)})
+        return docs, sorted(vocab), anaph_vocab
+
+    @pytest.mark.parametrize("family, loss, linking, anaph", SPECS)
+    def test_same_links(self, fig1, setting, family, loss, linking, anaph):
+        docs, vocab, anaph_vocab = setting
+        rng = random.Random(f"{family}{loss}{linking}{anaph}")
+        for n_names in (0, 4, 12):
+            if family == resolve.HEAD_MATCH:
+                spec = resolve.ResolverSpec(family)
+            else:
+                kind = RANK if family in resolve.RANKING_FAMILIES else CLASSIFY
+                spec = resolve.ResolverSpec(
+                    family, feats.COMBINED, _integer_model(rng, vocab, n_names, kind, loss),
+                    linking=linking or resolve.CLOSEST_FIRST, anaph=anaph or resolve.JOINT,
+                    anaph_model=_integer_model(rng, anaph_vocab, 4, CLASSIFY, learn.LOG)
+                    if anaph == resolve.PIPELINE else None,
+                )
+            for doc in [fig1, *docs]:
+                clusters = []
+                for k in range(len(doc.mentions)):
+                    choice = ref.decide_link(doc, spec, k, clusters)
+                    assert resolve.decide_link(doc, spec, k, clusters) == choice, (doc.doc_id, k)
+                    if choice is None:
+                        clusters.append([k])
+                    else:
+                        clusters[choice].append(k)
+                assert resolve.resolve(doc, spec) == Partition(clusters)
+            # fig1's m2 and m3 start at the same token: every cluster state
+            # before m4 puts them in either order, together or apart.
+            for clusters in _ordered_partitions(4):
+                assert resolve.decide_link(fig1, spec, 4, clusters) == ref.decide_link(fig1, spec, 4, clusters)
+
+    @pytest.mark.parametrize("clusters", [[[0], [1], [2], [3]], [[0], [1], [3], [2]]])
+    def test_fig1_nested_tie(self, fig1, clusters):
+        # m2 "his" and m3 "his secretary of state" both start at token 7.
+        # The cluster ranker breaks score ties by token offset and then
+        # takes the earlier cluster; the mention ranker and entity-mention
+        # take the highest last-mention id, m3.
+        zero = hinge_model({}, kind=RANK)
+        cr = resolve.ResolverSpec(resolve.CLUSTER_RANKING, feats.CONVENTIONAL, zero)
+        assert resolve.decide_link(fig1, cr, 4, clusters) == 2
+        mr = resolve.ResolverSpec(resolve.MENTION_RANKING, feats.CONVENTIONAL, zero)
+        assert clusters[resolve.decide_link(fig1, mr, 4, clusters)] == [3]
+        always_yes = hinge_model({}, bias=-1.0)
+        for linking in (resolve.CLOSEST_FIRST, resolve.BEST_FIRST):
+            em = resolve.ResolverSpec(resolve.ENTITY_MENTION, feats.CONVENTIONAL, always_yes, linking=linking)
+            assert clusters[resolve.decide_link(fig1, em, 4, clusters)] == [3]
