@@ -12,7 +12,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from statistics import pstdev
 from typing import Callable, Sequence
 
@@ -46,6 +46,10 @@ class ExperimentConfig:
     unseen_rate: float = 0.10
     folds: int = 5
     metric: str = score.BCUBED
+
+    def __post_init__(self):
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
 
     def trainer_config(self) -> learn.TrainerConfig:
         return learn.TrainerConfig(c=self.c, epochs=self.epochs, seed=self.seed)
@@ -135,57 +139,59 @@ def _gen_train_set(docs: Sequence[Document], cfg: ExperimentConfig) -> instances
     return instances.merge(sets)
 
 
-def _filter_train_set(ts: instances.TrainSet, keep: Callable[[str], bool]) -> instances.TrainSet:
+def _filter_train_set(ts: instances.TrainSet, kept: set[str]) -> instances.TrainSet:
     filtered = [
-        instances.Instance({n: v for n, v in inst.vec.items() if keep(n)}, inst.label, inst.group, inst.meta)
+        instances.Instance({n: v for n, v in inst.vec.items() if n in kept}, inst.label, inst.group, inst.meta)
         for inst in ts.instances
     ]
-    return instances.TrainSet.build(filtered, ts.kind)
+    return instances.TrainSet(filtered, [n for n in ts.feature_vocab if n in kept], ts.kind)
 
 
-def train_bundle(
-    docs: Sequence[Document],
-    cfg: ExperimentConfig,
-    feature_filter: Callable[[str], bool] | None = None,
-) -> ModelBundle:
-    """Train the coreference model for the configured family, plus an
-    anaphoricity classifier whenever the architecture can use one."""
+def _train_base(docs: Sequence[Document], cfg: ExperimentConfig) -> tuple[ModelBundle, instances.TrainSet | None]:
+    """Everything `train_bundle` builds but the coreference model: the
+    unseen marking, the anaphoricity classifier whenever the architecture
+    can use one, and the coreference train set (None for head match)."""
     family = FAMILY_CODES[cfg.family]
     vocab = None
     train_docs = list(docs)
     if cfg.uses_lexical():
         train_docs = corpus_mod.unseen_train(train_docs, cfg.unseen_rate, cfg.seed)
         vocab = corpus_mod.surface_vocab(train_docs)
-    tcfg = cfg.trainer_config()
-    coref_model = None
-    if family != resolve.HEAD_MATCH:
-        ts = _gen_train_set(train_docs, cfg)
-        if feature_filter is not None:
-            ts = _filter_train_set(ts, feature_filter)
-        meta = {"features": cfg.features, "family": cfg.family}
-        if vocab is not None:
-            meta["unseen_vocab"] = sorted(vocab)
-        if ts.kind == instances.RANK:
-            trainer = learn.train_hinge_ranker if cfg.loss == "hinge" else learn.train_log_ranker
-        else:
-            trainer = learn.train_hinge_classifier if cfg.loss == "hinge" else learn.train_log_classifier
-        coref_model = trainer(ts, tcfg, meta)
+    ts = None if family == resolve.HEAD_MATCH else _gen_train_set(train_docs, cfg)
     anaph_model = None
     joint_ranker = family in resolve.RANKING_FAMILIES and ANAPH_CODES[cfg.anaph] == resolve.JOINT
     if family != resolve.HEAD_MATCH and not joint_ranker:
         anaph_ts = instances.merge([instances.gen_anaphoricity(doc) for doc in train_docs])
-        anaph_model = learn.train_log_classifier(anaph_ts, tcfg, {"family": "anaphoricity"})
+        anaph_model = learn.train_log_classifier(anaph_ts, cfg.trainer_config(), {"family": "anaphoricity"})
     return ModelBundle(
         family=family,
         features=cfg.features,
         loss=cfg.loss,
         linking=LINKING_CODES[cfg.linking],
         anaph=ANAPH_CODES[cfg.anaph],
-        coref_model=coref_model,
+        coref_model=None,
         anaph_model=anaph_model,
         unseen_vocab=vocab,
         config={"c": cfg.c, "epochs": cfg.epochs, "seed": cfg.seed, "unseen_rate": cfg.unseen_rate},
-    )
+    ), ts
+
+
+def _with_coref_model(bundle: ModelBundle, ts: instances.TrainSet, cfg: ExperimentConfig) -> ModelBundle:
+    meta = {"features": cfg.features, "family": cfg.family}
+    if bundle.unseen_vocab is not None:
+        meta["unseen_vocab"] = sorted(bundle.unseen_vocab)
+    if ts.kind == instances.RANK:
+        trainer = learn.train_hinge_ranker if cfg.loss == "hinge" else learn.train_log_ranker
+    else:
+        trainer = learn.train_hinge_classifier if cfg.loss == "hinge" else learn.train_log_classifier
+    return replace(bundle, coref_model=trainer(ts, cfg.trainer_config(), meta))
+
+
+def train_bundle(docs: Sequence[Document], cfg: ExperimentConfig) -> ModelBundle:
+    """Train the coreference model for the configured family, plus an
+    anaphoricity classifier whenever the architecture can use one."""
+    bundle, ts = _train_base(docs, cfg)
+    return bundle if ts is None else _with_coref_model(bundle, ts, cfg)
 
 
 def prepare_test_docs(docs: Sequence[Document], bundle: ModelBundle) -> list[Document]:
@@ -278,18 +284,6 @@ def _anaphoricity_report(docs: Sequence[Document], responses: Sequence[Partition
     }
 
 
-def eval_split(
-    train_docs: Sequence[Document], test_docs: Sequence[Document], cfg: ExperimentConfig,
-    feature_filter: Callable[[str], bool] | None = None,
-) -> dict:
-    bundle = train_bundle(train_docs, cfg, feature_filter)
-    responses = resolve_docs(test_docs, bundle)
-    pairs = [(corpus_mod.key_partition_doc(doc), resp) for doc, resp in zip(test_docs, responses)]
-    report = _evaluate_pairs(pairs)
-    report["anaphoricity"] = _anaphoricity_report(test_docs, responses)
-    return report
-
-
 def stratified_folds(docs: Sequence[Document], folds: int, seed: int) -> list[int]:
     """Fold index per document: a seeded shuffle within each source, then
     round-robin, so fold sizes within a source differ by at most one."""
@@ -341,7 +335,9 @@ def run_ablation(
     """Backward elimination over feature types.
 
     Each round retrains with every remaining group removed in turn and
-    permanently drops the group whose removal scores best.
+    permanently drops the group whose removal scores best.  Only the
+    coreference model is retrained: the train set, the unseen marking, the
+    anaphoricity model and the prepared test docs are built once.
     """
     if groups is None:
         groups = default_groups(cfg.features)
@@ -350,15 +346,19 @@ def run_ablation(
     assignment = stratified_folds(docs, cfg.folds, cfg.seed)
     train_docs = [doc for doc, f in zip(docs, assignment) if f != 0]
     test_docs = [doc for doc, f in zip(docs, assignment) if f == 0]
+    base, ts = _train_base(train_docs, cfg)
+    keys = [corpus_mod.key_partition_doc(doc) for doc in test_docs]
+    prepared = prepare_test_docs(test_docs, base)
 
     def evaluate(removed: set[str]) -> float:
         active = [g for g in groups if g.name not in removed]
-
-        def keep(name: str) -> bool:
-            return any(g.predicate(name) for g in active)
-
-        report = eval_split(train_docs, test_docs, cfg, feature_filter=keep)
-        return report[cfg.metric]["f1"]
+        bundle = base
+        if ts is not None:
+            kept = {n for n in ts.feature_vocab if any(g.predicate(n) for g in active)}
+            bundle = _with_coref_model(base, _filter_train_set(ts, kept), cfg)
+        spec = bundle.resolver_spec()
+        responses = [corpus_mod.response_partition_doc(doc, resolve.resolve(doc, spec)) for doc in prepared]
+        return _evaluate_pairs(list(zip(keys, responses)))[cfg.metric]["f1"]
 
     remaining = [g.name for g in groups]
     removed: set[str] = set()
@@ -660,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synth", help="emit a seeded synthetic corpus")
-    p.add_argument("--docs", type=int, default=100)
+    p.add_argument("--docs", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pronoun-rate", type=float, default=0.15)
     p.add_argument("--alias-rate", type=float, default=0.2)

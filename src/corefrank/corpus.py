@@ -193,6 +193,14 @@ class Document:
             raise CorpusError(f"invariant 'doc_id is a string' violated: {did!r}")
         if self.source not in SOURCES:
             raise CorpusError(f"invariant 'source is a known value' violated: {self.source!r}", doc_id=did)
+        if type(self.sentences) is not list:
+            raise CorpusError(f"invariant 'sentences is a list' violated: {self.sentences!r}", doc_id=did)
+        for si, sent in enumerate(self.sentences):
+            if type(sent) is not list:
+                raise CorpusError(f"invariant 'sentence is a list' violated at sentence {si}: {sent!r}", doc_id=did)
+            for token in sent:
+                if type(token) is not str:
+                    raise CorpusError(f"invariant 'token is a string' violated at sentence {si}: {token!r}", doc_id=did)
         order_key = None
         for i, m in enumerate(self.mentions):
             for attr, allowed in _MENTION_FIELD_TYPES.items():
@@ -419,7 +427,7 @@ def doc_from_record(rec: dict) -> Document:
         doc = Document(
             doc_id=rec["doc_id"],
             source=rec.get("source", "OTHER"),
-            sentences=[list(s) for s in rec["sentences"]],
+            sentences=rec["sentences"],
             mentions=[mention_from_record(m) for m in rec["mentions"]],
             gold_partition=Partition(rec["clusters"]),
         )

@@ -8,6 +8,7 @@ import pytest
 from corefrank import cli, corpus, feats, score, synth
 from corefrank.cli import ExperimentConfig, FeatureTypeGroup
 
+import reference_ablation as ref
 from conftest import make_doc
 
 
@@ -177,6 +178,26 @@ class TestTrainResolveScore:
         first_doc = corpus.load_corpus(small_corpus_path)[0].doc_id
         assert first_doc in record["detail"]
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_synth_docs_below_one_rejected(self, value, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run(["synth", "--docs", value, "--out", out])
+        assert exc.value.code == 2
+        assert "--docs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["crossval", "ablate", "adapt"])
+    @pytest.mark.parametrize("folds", [0, -2, 1])
+    def test_folds_below_two_rejected(self, small_corpus_path, tmp_path, capsys, command, folds):
+        out = tmp_path / "report.json"
+        assert run([command, small_corpus_path, "--family", "mp", "--features", "conventional",
+                    "--epochs", 1, "--folds", folds, "--out", out]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValueError"
+        assert record["detail"] == f"folds must be >= 2, got {folds}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [0, -5])
     def test_ilp_max_vars_below_one_rejected(self, value, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -309,6 +330,52 @@ class TestAblation:
         for name in seen:
             owners = [g.name for g in groups if g.predicate(name)]
             assert len(owners) == 1, (name, owners)
+
+
+class TestAblationMatchesReference:
+    """`run_ablation` retrains only the coreference model; the reference
+    retrains the whole bundle per step through a feature filter."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        return synth.synth_corpus(9, seed=5, mentions_low=3, mentions_high=6)
+
+    @staticmethod
+    def same_report(docs, cfg, groups=None):
+        expected = json.dumps(ref.run_ablation(docs, cfg, groups), sort_keys=True)
+        assert json.dumps(cli.run_ablation(docs, cfg, groups), sort_keys=True) == expected
+
+    @pytest.mark.parametrize("loss", ["hinge", "log"])
+    @pytest.mark.parametrize("features", feats.FEATURE_SETS)
+    @pytest.mark.parametrize("family", ["mp", "em", "mr", "cr"])
+    def test_family_features_loss(self, docs, family, features, loss):
+        self.same_report(docs, ExperimentConfig(family=family, features=features, loss=loss, epochs=2,
+                                                seed=3, folds=3))
+
+    @pytest.mark.parametrize("family", ["mr", "cr"])
+    def test_pipeline_rankers(self, docs, family):
+        # the shared anaphoricity model gates every retrain's resolver
+        self.same_report(docs, ExperimentConfig(family=family, features=feats.COMBINED, anaph="pipeline",
+                                                epochs=2, seed=4, folds=3))
+
+    def test_head_match(self, docs):
+        self.same_report(docs, ExperimentConfig(family="hm", features=feats.LEXICAL, folds=3))
+
+    def test_custom_groups(self):
+        docs = synth.synth_corpus(18, seed=7, mentions_low=4, mentions_high=8)
+        groups = [
+            FeatureTypeGroup("everything", lambda name: not name.startswith("XYZZY")),
+            FeatureTypeGroup("never-fires", lambda name: name.startswith("XYZZY")),
+        ]
+        self.same_report(docs, ExperimentConfig(family="mp", features=feats.CONVENTIONAL, epochs=8, seed=2,
+                                                folds=3), groups)
+
+    @pytest.mark.parametrize("anaph", ["joint", "pipeline"])
+    @pytest.mark.parametrize("family", sorted(cli.FAMILY_CODES))
+    def test_train_bundle_record(self, docs, family, anaph):
+        cfg = ExperimentConfig(family=family, features=feats.COMBINED, anaph=anaph, epochs=3, seed=6)
+        expected = cli.bundle_to_record(ref.train_bundle(docs, cfg))
+        assert cli.bundle_to_record(cli.train_bundle(docs, cfg)) == expected
 
 
 class TestAdaptability:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -79,6 +80,33 @@ class TestLoadCorpus:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(doc_to_record(fig1)) + "\n" + json.dumps(rec) + "\n")
         with pytest.raises(CorpusError, match=rf"line 2.*'{field} is an? (integer|boolean)' violated at mention 1"):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize(
+        "sentence, token, value, invariant",
+        [(0, 0, 7, "token is a string"), (1, 2, None, "token is a string"),
+         (0, None, "abc", "sentence is a list"), (1, None, {}, "sentence is a list")],
+        ids=["token-int", "token-null", "sentence-str", "sentence-object"],
+    )
+    def test_mistyped_sentence_reports_line(self, fig1, tmp_path, sentence, token, value, invariant):
+        rec = doc_to_record(fig1)
+        rec["sentences"] = [list(s) for s in rec["sentences"]]
+        if token is None:
+            rec["sentences"][sentence] = value
+        else:
+            rec["sentences"][sentence][token] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(doc_to_record(fig1)) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(CorpusError, match=rf"line 2.*'{invariant}' violated at sentence {sentence}: "
+                                              rf"{re.escape(repr(value))}$"):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("value", ["abc", {"0": ["a"]}, 5])
+    def test_sentences_not_a_list_reports_line(self, fig1, tmp_path, value):
+        rec = {**doc_to_record(fig1), "sentences": value}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(doc_to_record(fig1)) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(CorpusError, match=rf"line 2.*'sentences is a list' violated: {re.escape(repr(value))}$"):
             load_corpus(str(path))
 
     @pytest.mark.parametrize("loader", [load_corpus, load_partition_file])
