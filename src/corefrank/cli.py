@@ -31,6 +31,7 @@ LINKING_CODES = {"closest": resolve.CLOSEST_FIRST, "best": resolve.BEST_FIRST}
 ANAPH_CODES = {"pipeline": resolve.PIPELINE, "joint": resolve.JOINT}
 
 _BUNDLE_FORMAT = "corefrank-bundle"
+_BUNDLE_VERSION = 1
 
 
 @dataclass
@@ -211,7 +212,7 @@ def resolve_docs(docs: Sequence[Document], bundle: ModelBundle) -> list[Partitio
 def bundle_to_record(bundle: ModelBundle) -> dict:
     return {
         "format": _BUNDLE_FORMAT,
-        "version": 1,
+        "version": _BUNDLE_VERSION,
         "family": bundle.family,
         "features": bundle.features,
         "loss": bundle.loss,
@@ -224,19 +225,46 @@ def bundle_to_record(bundle: ModelBundle) -> dict:
     }
 
 
+# Every field is required; the two models are then checked against the
+# model record's own table.
+_BUNDLE_FIELDS = {
+    "format": learn.Field(repr(_BUNDLE_FORMAT), lambda v: v == _BUNDLE_FORMAT),
+    "version": learn.Field(str(_BUNDLE_VERSION), lambda v: type(v) is int and v == _BUNDLE_VERSION),
+    "family": learn.Field.one_of(*FAMILY_CODES.values()),
+    "features": learn.Field.one_of(*feats.FEATURE_SETS),
+    "loss": learn.Field.one_of("hinge", "log"),
+    "linking": learn.Field.one_of(*LINKING_CODES.values()),
+    "anaph": learn.Field.one_of(*ANAPH_CODES.values()),
+    "coref_model": learn.Field("an object or null", lambda v: v is None or type(v) is dict),
+    "anaph_model": learn.Field("an object or null", lambda v: v is None or type(v) is dict),
+    "unseen_vocab": learn.Field(
+        "a list of strings or null", lambda v: v is None or type(v) is list, lambda v: type(v) is str
+    ),
+    "config": learn.Field("an object", lambda v: type(v) is dict),
+}
+
+
+def _model_field(rec: dict, name: str) -> learn.LinearModel | None:
+    if rec[name] is None:
+        return None
+    try:
+        return learn.model_from_record(rec[name])
+    except ValueError as exc:
+        raise ValueError(f"bundle field {name!r}: {exc}") from None
+
+
 def bundle_from_record(rec: dict) -> ModelBundle:
-    if rec.get("format") != _BUNDLE_FORMAT:
-        raise ValueError("not a model bundle record")
+    learn.check_fields(rec, _BUNDLE_FIELDS, "bundle")
     return ModelBundle(
         family=rec["family"],
         features=rec["features"],
         loss=rec["loss"],
         linking=rec["linking"],
         anaph=rec["anaph"],
-        coref_model=learn.model_from_record(rec["coref_model"]) if rec["coref_model"] else None,
-        anaph_model=learn.model_from_record(rec["anaph_model"]) if rec["anaph_model"] else None,
+        coref_model=_model_field(rec, "coref_model"),
+        anaph_model=_model_field(rec, "anaph_model"),
         unseen_vocab=set(rec["unseen_vocab"]) if rec["unseen_vocab"] is not None else None,
-        config=rec.get("config", {}),
+        config=rec["config"],
     )
 
 
@@ -651,6 +679,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _unit_rate(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="corefrank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -662,8 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="emit a seeded synthetic corpus")
     p.add_argument("--docs", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pronoun-rate", type=float, default=0.15)
-    p.add_argument("--alias-rate", type=float, default=0.2)
+    p.add_argument("--pronoun-rate", type=_unit_rate, default=0.15)
+    p.add_argument("--alias-rate", type=_unit_rate, default=0.2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

@@ -14,15 +14,24 @@ Feature-name namespaces (collision-free by construction):
   ``TAG|TAG``               semi-lexical label concatenation
   ``NULL-x``                new-cluster features for joint ranking
   ``NONE-/MOST-FALSE-/MOST-TRUE-/ALL-`` cluster-level predicate prefixes
+
+Training and ``train --dump-instances`` use these name vectors.  Decoding
+does not build them for candidate clusters: ``cluster_scores`` scores each
+one from its ``(row, value)`` counts against the model's weight table
+(``cluster_weights``), bit-identical to ``learn.score`` of
+``cluster_features``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import pronouns
 from .corpus import Document, Mention, head_of, pronoun_entry
+
+if TYPE_CHECKING:
+    from .learn import LinearModel
 
 CONVENTIONAL = "conventional"
 LEXICAL = "lexical"
@@ -30,6 +39,7 @@ COMBINED = "combined"
 FEATURE_SETS = (CONVENTIONAL, LEXICAL, COMBINED)
 
 PREDICATES = ("NONE", "MOST-FALSE", "MOST-TRUE", "ALL")
+_PREDICATE_PREFIXES = tuple(f"{p}-" for p in PREDICATES)
 
 _ARTICLES = {"a", "an", "the"}
 _DEMONSTRATIVES = {"this", "that", "these", "those"}
@@ -613,9 +623,141 @@ def null_option(doc: Document, k: int, fs: str = CONVENTIONAL) -> dict[str, floa
     if fs in (CONVENTIONAL, COMBINED):
         out.update(block2_features(doc, mk))
     if fs in (LEXICAL, COMBINED):
-        name = "NULL-UNSEEN" if mk.unseen else f"NULL-{mention_table(doc)[k].head}"
-        out[name] = 1.0
+        out[_null_name(doc, k)] = 1.0
     return out
+
+
+def _null_name(doc: Document, k: int) -> str:
+    return "NULL-UNSEEN" if doc.mentions[k].unseen else f"NULL-{mention_table(doc)[k].head}"
+
+
+# --------------------------------------------------------------------------
+# Decode-time cluster scoring from (row, value) weight tables
+# --------------------------------------------------------------------------
+
+_CONCAT_RANK = {row: i for i, row in enumerate(_CONCAT_ROWS)}
+
+# The four weights of one (row, value) in PREDICATES order, 0.0 where the
+# model has no weight.  x + 0.0 is x bit for bit unless x is -0.0, which a
+# sum started at +0.0 never is, so adding 0.0 equals skipping the name.
+_Weights4 = tuple[float, float, float, float]
+
+
+@dataclass(frozen=True, slots=True)
+class ClusterWeights:
+    """A model's cluster-predicate weights keyed by ``(row, value)``.
+
+    ``conventional`` and ``lexical`` list the closed-alphabet entries of
+    each set's predicate rows in ``RELATIONAL_ALPHABETS`` order, only those
+    with a weight; ``concat`` maps a realized concatenation ``(row, value)``
+    to its sort key (row rank, value) and its weights.
+    """
+
+    conventional: tuple[tuple[tuple[str, str], _Weights4], ...]
+    lexical: tuple[tuple[tuple[str, str], _Weights4], ...]
+    concat: dict[tuple[str, str], tuple[tuple[int, str], _Weights4]]
+
+
+def _compile_cluster_weights(weights: dict[str, float]) -> ClusterWeights:
+    table: dict[tuple[str, str], list[float]] = {}
+    for name, w in weights.items():
+        for i, prefix in enumerate(_PREDICATE_PREFIXES):
+            if name.startswith(prefix):
+                # Row names hold no "=", so the first one ends the row.
+                row, sep, value = name[len(prefix) :].partition("=")
+                if sep and row in _CLUSTER_ROWS:
+                    table.setdefault((row, value), [0.0, 0.0, 0.0, 0.0])[i] = w
+                break
+
+    def closed(rows: Iterable[str]) -> tuple[tuple[tuple[str, str], _Weights4], ...]:
+        keys = ((row, value) for row in rows for value in RELATIONAL_ALPHABETS[row])
+        return tuple((key, tuple(table[key])) for key in keys if key in table)
+
+    return ClusterWeights(
+        conventional=closed(RELATIONAL_ALPHABETS),
+        lexical=closed(_LEXICAL_PREDICATE_ROWS),
+        concat={
+            (row, value): ((_CONCAT_RANK[row], value), tuple(ws))
+            for (row, value), ws in table.items()
+            if row in _CONCAT_RANK
+        },
+    )
+
+
+def cluster_weights(model: LinearModel) -> ClusterWeights:
+    """The ``(row, value)`` table of ``model``, compiled on first use.
+
+    Stored on the model itself, as ``mention_table`` is on the document, so
+    it lives exactly as long as the model.  Weights are never changed in
+    place once a model is built.
+    """
+    table = model.__dict__.get("_cluster_weights")
+    if table is None:
+        table = model.__dict__["_cluster_weights"] = _compile_cluster_weights(model.weights)
+    return table
+
+
+def cluster_scores(
+    doc: Document, model: LinearModel, clusters: Sequence[Sequence[int]], k: int, fs: str
+) -> tuple[list[float], float]:
+    """The scores of mention k against each of ``clusters`` (each in
+    ascending order, all members before k) and against the new-cluster
+    option.
+
+    Each equals ``learn.score`` of ``cluster_features`` (or ``null_option``)
+    bit for bit: the terms are added in the vector's insertion order, block
+    2, then the closed-alphabet predicates, the realized concatenation
+    values in sorted order and the lexical core in first-appearance order,
+    and the bias is subtracted last.  No feature name is built except the
+    lexical core's; block 2 is summed once and starts every candidate.
+    """
+    _check_feature_set(fs)
+    table = cluster_weights(model)
+    weights = model.weights
+    conventional = fs != LEXICAL
+    lexical = fs != CONVENTIONAL
+    block2 = 0.0
+    if conventional:
+        for name in block2_features(doc, doc.mentions[k]):
+            w = weights.get(name)
+            if w is not None:
+                block2 += w
+    null = block2
+    if lexical:
+        w = weights.get(_null_name(doc, k))
+        if w is not None:
+            null += w
+
+    closed = table.conventional if conventional else table.lexical
+    concat = table.concat
+    values_of = relational_values if conventional else _lexical_values
+    scores = []
+    for members in clusters:
+        size = len(members)
+        counts: dict[tuple[str, str], int] = {}
+        for j in members:
+            for item in values_of(doc, j, k).items():
+                counts[item] = counts.get(item, 0) + 1
+        total = block2
+        for key, ws in closed:
+            count = counts.get(key, 0)
+            # predicate_prefix's rule as an index into PREDICATES
+            total += ws[0 if count == 0 else 3 if count == size else 1 if count * 2 < size else 2]
+        if conventional:
+            realized = sorted((concat[key], count) for key, count in counts.items() if key in concat)
+            for (_, ws), count in realized:
+                total += ws[3 if count == size else 1 if count * 2 < size else 2]
+        if lexical:
+            core: dict[str, float] = {}
+            for j in members:
+                for name, value in _lexical_core(doc, j, k).items():
+                    core[name] = core.get(name, 0.0) + value
+            for name, value in core.items():
+                w = weights.get(name)
+                if w is not None:
+                    total += w * value
+        scores.append(total - model.bias)
+    return scores, null - model.bias
 
 
 # --------------------------------------------------------------------------
@@ -661,7 +803,7 @@ def cluster_features(doc: Document, c: Iterable[int], k: int, fs: str) -> dict[s
 
 
 def strip_predicate(name: str) -> str:
-    for prefix in ("NONE-", "MOST-FALSE-", "MOST-TRUE-", "ALL-"):
+    for prefix in _PREDICATE_PREFIXES:
         if name.startswith(prefix):
             return name[len(prefix) :]
     return name

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -44,8 +46,8 @@ class TrainerConfig:
     fit_bias: bool = True
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"C must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"C must be a positive finite number, got {self.c}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -79,12 +81,16 @@ def _sigmoid(s: float) -> float:
     return z / (1.0 + z)
 
 
+def probability(s: float) -> float:
+    """Logistic probability of a score, clamped to the open unit interval."""
+    return min(max(_sigmoid(s), 1e-12), 1.0 - 1e-12)
+
+
 def predict_prob(model: LinearModel, vec: dict[str, float]) -> float:
     """Logistic probability of the positive class, in the open unit interval."""
     if model.loss != LOG:
         raise ValueError("predict_prob requires a log-loss model")
-    p = _sigmoid(score(model, vec))
-    return min(max(p, 1e-12), 1.0 - 1e-12)
+    return probability(score(model, vec))
 
 
 # --------------------------------------------------------------------------
@@ -468,6 +474,61 @@ _MODEL_FORMAT = "corefrank-model"
 _MODEL_VERSION = 1
 
 
+def _finite_number(value: object) -> bool:
+    if type(value) is int:  # JSON integers are unbounded; float() must not overflow
+        return abs(value) <= sys.float_info.max
+    return type(value) is float and math.isfinite(value)
+
+
+class Field(NamedTuple):
+    """What a record field must be: ``test`` checks its value and, for a
+    list, ``each`` checks every item, so an error can point at the item."""
+
+    expected: str
+    test: Callable[[object], bool]
+    each: Callable[[object], bool] | None = None
+
+    @classmethod
+    def one_of(cls, *values: str) -> "Field":
+        return cls("one of " + ", ".join(map(repr, values)), lambda v: v in values)
+
+
+# Every field is required.
+_MODEL_FIELDS = {
+    "format": Field(repr(_MODEL_FORMAT), lambda v: v == _MODEL_FORMAT),
+    "version": Field(str(_MODEL_VERSION), lambda v: type(v) is int and v == _MODEL_VERSION),
+    "kind": Field.one_of(CLASSIFY, RANK),
+    "loss": Field.one_of(HINGE, LOG),
+    "bias": Field("a finite number", _finite_number),
+    "meta": Field("an object", lambda v: type(v) is dict),
+    "feature_vocab": Field("a list of strings", lambda v: type(v) is list, lambda v: type(v) is str),
+    "weights": Field(
+        "a list of [name, finite number] pairs",
+        lambda v: type(v) is list,
+        lambda p: type(p) is list and len(p) == 2 and type(p[0]) is str and _finite_number(p[1]),
+    ),
+}
+
+
+def check_fields(rec: object, fields: dict[str, Field], record: str) -> None:
+    """Raise a ValueError naming the first field of ``rec`` that is missing
+    or is not what ``fields`` says it must be."""
+    if type(rec) is not dict:
+        raise ValueError(f"{record} record must be a JSON object, got {type(rec).__name__}")
+    for name, (expected, test, each) in fields.items():
+        if name not in rec:
+            raise ValueError(f"{record} record has no {name!r} field")
+        value = rec[name]
+        if not test(value):
+            raise ValueError(f"{record} field {name!r} must be {expected}, got {reprlib.repr(value)}")
+        if each is not None and value is not None:
+            for i, item in enumerate(value):
+                if not each(item):
+                    raise ValueError(
+                        f"{record} field {name!r} must be {expected}, got {reprlib.repr(item)} at index {i}"
+                    )
+
+
 def model_to_record(model: LinearModel) -> dict:
     meta = {k: v for k, v in model.meta.items() if k != "feature_vocab"}
     return {
@@ -483,19 +544,13 @@ def model_to_record(model: LinearModel) -> dict:
 
 
 def model_from_record(rec: dict) -> LinearModel:
-    if rec.get("format") != _MODEL_FORMAT:
-        raise ValueError("not a model record")
-    if rec.get("version") != _MODEL_VERSION:
-        raise ValueError(f"unsupported model version {rec.get('version')!r}")
-    meta = dict(rec.get("meta", {}))
-    if "feature_vocab" in rec:
-        meta["feature_vocab"] = rec["feature_vocab"]
+    check_fields(rec, _MODEL_FIELDS, "model")
     return LinearModel(
         weights=dict((name, float(v)) for name, v in rec["weights"]),
         bias=float(rec["bias"]),
         kind=rec["kind"],
         loss=rec["loss"],
-        meta=meta,
+        meta={**rec["meta"], "feature_vocab": rec["feature_vocab"]},
     )
 
 

@@ -4,6 +4,11 @@ All resolvers process mentions left to right and maintain the clusters
 built so far, so the assignment of mention k depends only on mentions
 before it.  ``decide_link`` exposes the single-mention decision procedure,
 which the diagnostic class scorer reuses with oracle overrides.
+
+The cluster families score their candidate clusters and new-cluster
+option from the model's ``(row, value)`` weight table
+(``feats.cluster_scores``); the mention families score name vectors.
+Training builds name vectors for every family.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ def _gated_out(doc: Document, spec: ResolverSpec, k: int) -> bool:
 def decide_link(doc: Document, spec: ResolverSpec, k: int, clusters: list[list[int]]) -> int | None:
     """Decide which of the current clusters mention k joins, or None to
     start a new one.  ``clusters`` holds the system clusters over mentions
-    0..k-1 in creation order.
+    0..k-1 in creation order, each in ascending order.
 
     Candidates are the preceding clusters (entity-mention, cluster ranking)
     or the preceding mentions (mention pair, mention ranking), each with its
@@ -103,34 +108,42 @@ def decide_link(doc: Document, spec: ResolverSpec, k: int, clusters: list[list[i
     ranker = spec.family in RANKING_FAMILIES
     if not clusters or (ranker and _gated_out(doc, spec, k)):
         return None
-    # Generators: each vector is dropped as soon as it is scored.
+    # (cluster index, last mention, strength) per candidate.  Clusters are
+    # scored in one pass from the model's (row, value) tables; mentions from
+    # their name vectors, each dropped as soon as it is scored.
+    classify_log = not ranker and model.loss == learn.LOG
+    null_score = None
     if spec.family in CLUSTER_FAMILIES:
-        candidates = (
-            (ci, max(cluster), feats.cluster_features(doc, cluster, k, spec.fs))
-            for ci, cluster in enumerate(clusters)
-        )
+        scores, null_score = feats.cluster_scores(doc, model, clusters, k, spec.fs)
+        if classify_log:
+            scores = [learn.probability(s) for s in scores]
+        candidates = [(ci, cluster[-1], s) for ci, (cluster, s) in enumerate(zip(clusters, scores))]
     else:
         owner = {j: ci for ci, cluster in enumerate(clusters) for j in cluster}
-        candidates = ((owner[j], j, feats.pair_features(doc, j, k, spec.fs)) for j in reversed(range(k)))
+        measure = learn.predict_prob if classify_log else learn.score
+        candidates = (
+            (owner[j], j, measure(model, feats.pair_features(doc, j, k, spec.fs))) for j in reversed(range(k))
+        )
 
     if not ranker:
-        positives = []
-        for ci, last, vec in candidates:
-            strength, threshold = _strength(model, vec)
-            if strength > threshold:
-                positives.append((ci, last, strength))
+        # A classifier links strictly above its threshold.
+        threshold = 0.5 if classify_log else 0.0
+        positives = [c for c in candidates if c[2] > threshold]
         if spec.linking == BEST_FIRST and positives:
             best = max(s for _, _, s in positives)
             positives = [p for p in positives if p[2] == best]
         return max(positives, key=lambda p: p[1])[0] if positives else None
 
-    scores = [(ci, last, learn.score(model, vec)) for ci, last, vec in candidates]
-    best = max(s for _, _, s in scores)
-    tied = [(ci, last) for ci, last, s in scores if s == best]
+    scored = list(candidates)
+    best = max(s for _, _, s in scored)
+    tied = [(ci, last) for ci, last, s in scored if s == best]
     ci = max(tied, key=lambda t: doc.token_offset(doc.mentions[t[1]]))[0]
-    # An exact tie against the new-cluster option resolves to the link.
-    if spec.anaph == JOINT and learn.score(model, feats.null_option(doc, k, spec.fs)) > best:
-        return None
+    if spec.anaph == JOINT:
+        if null_score is None:
+            null_score = learn.score(model, feats.null_option(doc, k, spec.fs))
+        # An exact tie against the new-cluster option resolves to the link.
+        if null_score > best:
+            return None
     return ci
 
 

@@ -1,5 +1,9 @@
+import copy
 import gc
 import json
+import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,6 +81,25 @@ class TestTrainResolveScore:
         report = json.loads(report_path.read_text())
         assert report["bcubed"]["f1"] > 0.9  # trained and tested on the same docs
         assert len(report["per_doc"]) == 30
+
+    def test_resolve_independent_of_hash_seed(self, tmp_path):
+        docs = [*synth.synth_corpus(12, seed=21), *synth.synth_corpus(1, seed=8, mentions_low=30, mentions_high=30)]
+        corpus_path = tmp_path / "c.jsonl"
+        corpus.save_corpus(docs, str(corpus_path))
+        bundle_path = tmp_path / "m.json"
+        assert run(["train", corpus_path, "--epochs", 5, "--out", bundle_path]) == 0
+        src = Path(cli.__file__).resolve().parents[1]
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"r{hash_seed}.jsonl"
+            subprocess.run(
+                [sys.executable, "-m", "corefrank.cli", "resolve", corpus_path, "--model", bundle_path, "--out", out],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src)),
+                check=True,
+                capture_output=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_memory_flat_across_repeated_resolves(self):
         docs = synth.synth_corpus(40, seed=7)
@@ -185,6 +208,15 @@ class TestTrainResolveScore:
             run(["synth", "--docs", value, "--out", out])
         assert exc.value.code == 2
         assert "--docs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--pronoun-rate", -1), ("--alias-rate", 7), ("--alias-rate", "nan")])
+    def test_synth_rate_outside_unit_interval_rejected(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run(["synth", "--docs", 2, flag, value, "--out", out])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["crossval", "ablate", "adapt"])
@@ -406,3 +438,51 @@ class TestAdaptability:
         cfg = ExperimentConfig(family="mp", features=feats.CONVENTIONAL)
         with pytest.raises(ValueError, match="two data sources"):
             cli.run_adaptability(docs, cfg)
+
+
+class TestBundleRecordChecks:
+    @pytest.fixture(scope="class")
+    def bundle_record(self, small_corpus_path, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bundle") / "m.json"
+        assert run(["train", small_corpus_path, "--anaph", "pipeline", "--epochs", 2, "--out", path]) == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("field, mutate", [
+        ("'unseen_vocab'", lambda rec: rec.update(unseen_vocab="abc")),
+        ("'unseen_vocab'", lambda rec: rec.update(unseen_vocab=["a", 1])),
+        ("'version'", lambda rec: rec.update(version=99)),
+        ("'family'", lambda rec: rec.update(family="BOGUS")),
+        ("'features'", lambda rec: rec.update(features=None)),
+        ("'loss'", lambda rec: rec.update(loss="BOGUS")),
+        ("'linking'", lambda rec: rec.pop("linking")),
+        ("'anaph'", lambda rec: rec.update(anaph="JOINTLY")),
+        ("'coref_model'", lambda rec: rec.update(coref_model=[])),
+        ("'config'", lambda rec: rec.pop("config")),
+        ("'coref_model': model field 'kind'", lambda rec: rec["coref_model"].update(kind="BOGUS")),
+        ("'coref_model': model field 'loss'", lambda rec: rec["coref_model"].update(loss="BOGUS")),
+        ("'coref_model': model field 'weights'", lambda rec: rec["coref_model"]["weights"].append([5, 1.0])),
+        ("'coref_model': model field 'weights'", lambda rec: rec["coref_model"]["weights"][0].__setitem__(1, "1.5")),
+        ("'coref_model': model field 'weights'", lambda rec: rec["coref_model"]["weights"][0].__setitem__(1, True)),
+        ("'coref_model': model field 'weights'", lambda rec: rec["coref_model"]["weights"][0].__setitem__(1, math.nan)),
+        ("'anaph_model': model record has no 'bias'", lambda rec: rec["anaph_model"].pop("bias")),
+    ])
+    def test_resolve_rejects_bad_field(self, bundle_record, small_corpus_path, tmp_path, capsys, field, mutate):
+        rec = copy.deepcopy(bundle_record)
+        mutate(rec)
+        bundle_path = tmp_path / "bad.json"
+        bundle_path.write_text(json.dumps(rec))
+        out = tmp_path / "r.jsonl"
+        assert run(["resolve", small_corpus_path, "--model", bundle_path, "--out", out]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValueError"
+        assert record["detail"].startswith(f"bundle field {field}") or record["detail"].startswith(
+            f"bundle record has no {field}"
+        ), record["detail"]
+        assert not out.exists()
+
+    def test_valid_bundle_reloads_byte_identically(self, bundle_record, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(bundle_record, ensure_ascii=False, indent=1, sort_keys=True) + "\n")
+        again = tmp_path / "again.json"
+        cli.save_bundle(cli.load_bundle(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_feats as ref
-from corefrank import feats
+from corefrank import feats, learn
 from corefrank.corpus import Document, Mention, Partition, unseen_test, unseen_train
+from corefrank.instances import RANK
 from corefrank.synth import synth_corpus
 
 from conftest import make_doc
@@ -502,3 +503,72 @@ class TestTableOracle:
         assert feats.lexical_pair(doc, 0, 1) == {"UNSEEN-DIFF": 1.0}
         assert feats.null_option(doc, 1, feats.LEXICAL) == {"NULL-UNSEEN": 1.0}
         assert feats.cluster_lexical(doc, [0], 1)["UNSEEN-DIFF"] == 1.0
+
+
+@pytest.fixture(scope="module")
+def scoring_setting():
+    """Documents with unseen mentions, and every name their cluster and
+    new-cluster vectors can carry, plus names no vector carries."""
+    rich = _rich_doc()
+    docs = [
+        rich,
+        *unseen_test([rich], {rich.text(m) for m in rich.mentions[::2]}),
+        *unseen_train(synth_corpus(2, seed=31, mentions_low=14, mentions_high=20), 0.4, seed=3),
+    ]
+    names = set()
+    for doc in docs:
+        for k in range(1, len(doc.mentions)):
+            # singletons give NONE/ALL, the whole prefix the MOST- predicates
+            clusters = [[j] for j in range(k)] + [list(range(k))]
+            for fs in feats.FEATURE_SETS:
+                for cluster in clusters:
+                    names |= set(feats.cluster_features(doc, cluster, k, fs))
+                names |= set(feats.null_option(doc, k, fs))
+    absent = {"MOST-TRUE-NUMBER'=PLURAL-PLURAL", "ALL-NUMBER_2=SINGULAR", "NONE-FOO=1", "NONE-", "ALL-DISTANCE",
+              "LEX:zebra|yak", "NULL-zebra", "PERSON|zebra", "HEAD_MATCH=C"}
+    assert absent.isdisjoint(names)
+    kinds = ("NONE-", "MOST-FALSE-", "MOST-TRUE-", "ALL-", "LEX:", "NULL-", "UNSEEN-")
+    assert all(any(n.startswith(kind) for n in names) for kind in kinds)
+    assert any("'=" in n for n in names) and any("|" in n and ":" not in n for n in names)
+    return docs, sorted(names | absent)
+
+
+class TestClusterScoresOracle:
+    """Decode-time scores from the (row, value) tables against learn.score
+    of the name vectors, compared with == so the order of the sum counts."""
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_name_vectors(self, scoring_setting, data, seed, density):
+        docs, names = scoring_setting
+        doc = data.draw(st.sampled_from(docs))
+        k = data.draw(st.integers(1, len(doc.mentions) - 1))
+        groups = data.draw(st.integers(1, k))
+        owners = data.draw(st.lists(st.integers(0, groups - 1), min_size=k, max_size=k))
+        clusters = {}
+        for j, owner in enumerate(owners):
+            clusters.setdefault(owner, []).append(j)
+        clusters = list(clusters.values())
+        fs = data.draw(st.sampled_from(feats.FEATURE_SETS))
+        # Weights of mixed magnitude, so that another order of the sum
+        # would change its low bits.
+        rng = random.Random(seed)
+        weights = {
+            name: rng.choice((rng.uniform(-3, 3), rng.uniform(-1e-9, 1e-9), 1e6 * rng.random(), 0.0, -0.0))
+            for name in names
+            if rng.random() < density
+        }
+        model = learn.LinearModel(weights, rng.uniform(-2, 2), RANK, learn.HINGE, {})
+        scores, null = feats.cluster_scores(doc, model, clusters, k, fs)
+        assert scores == [learn.score(model, feats.cluster_features(doc, c, k, fs)) for c in clusters]
+        assert null == learn.score(model, feats.null_option(doc, k, fs))
+
+    def test_table_lives_on_the_model(self):
+        model = learn.LinearModel({"ALL-DISTANCE=0": 1.5, "NONE-NUMBER'=SINGULAR-SINGULAR": 2.0}, 0.0,
+                                  RANK, learn.HINGE, {})
+        table = feats.cluster_weights(model)
+        assert feats.cluster_weights(model) is table
+        assert table.conventional == ((("DISTANCE", "0"), (0.0, 0.0, 0.0, 1.5)),)
+        assert table.lexical == table.conventional
+        assert table.concat == {("NUMBER'", "SINGULAR-SINGULAR"): ((0, "SINGULAR-SINGULAR"), (2.0, 0.0, 0.0, 0.0))}
+        assert feats.cluster_weights(learn.LinearModel(dict(model.weights), 0.0, RANK, learn.HINGE, {})) is not table

@@ -327,6 +327,60 @@ class TestScoreAndProb:
         assert int(np.argmax(base)) == int(np.argmax(shifted))
 
 
+class TestTrainerConfig:
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_c_must_be_positive_and_finite(self, c):
+        with pytest.raises(ValueError, match="C must be a positive finite number"):
+            learn.TrainerConfig(c=c)
+
+
+class TestModelRecordChecks:
+    def record(self):
+        model = learn.LinearModel({"a": 1.5, "b": -2.0}, 0.25, RANK, learn.HINGE, {"feature_vocab": ["a", "b", "c"]})
+        return learn.model_to_record(model)
+
+    @pytest.mark.parametrize("field, value", [
+        ("format", "corefrank-bundle"),
+        ("version", 2),
+        ("version", True),
+        ("kind", "BOGUS"),
+        ("loss", "hinge"),
+        ("bias", "0.25"),
+        ("bias", math.nan),
+        ("bias", 10 ** 400),
+        ("meta", []),
+        ("feature_vocab", "abc"),
+        ("feature_vocab", ["a", 5]),
+        ("weights", {"a": 1.5}),
+        ("weights", [[5, 1.0]]),
+        ("weights", [["a", "1.5"]]),
+        ("weights", [["a", True]]),
+        ("weights", [["a", math.inf]]),
+        ("weights", [["a", 1.0, 2.0]]),
+    ])
+    def test_bad_field_named(self, field, value):
+        rec = {**self.record(), field: value}
+        with pytest.raises(ValueError, match=f"model field '{field}'"):
+            learn.model_from_record(rec)
+
+    @pytest.mark.parametrize("field", ["format", "version", "kind", "loss", "bias", "meta", "feature_vocab",
+                                       "weights"])
+    def test_missing_field_named(self, field):
+        rec = self.record()
+        del rec[field]
+        with pytest.raises(ValueError, match=f"model record has no '{field}' field"):
+            learn.model_from_record(rec)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="model record must be a JSON object"):
+            learn.model_from_record([])
+
+    def test_integer_values_accepted(self):
+        rec = {**self.record(), "bias": 1, "weights": [["a", 2]]}
+        model = learn.model_from_record(rec)
+        assert model.bias == 1.0 and model.weights == {"a": 2.0}
+
+
 class TestDeterminismAndFiles:
     def test_bitwise_identical_models(self):
         rng = np.random.default_rng(10)

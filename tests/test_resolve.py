@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from corefrank import feats, learn, resolve
+from corefrank import cli, feats, learn, resolve
 from corefrank.corpus import Document, Mention, Partition
 from corefrank.instances import CLASSIFY, RANK
 from corefrank.synth import synth_corpus
@@ -368,3 +368,39 @@ class TestFamiliesMatchReference:
         for linking in (resolve.CLOSEST_FIRST, resolve.BEST_FIRST):
             em = resolve.ResolverSpec(resolve.ENTITY_MENTION, feats.CONVENTIONAL, always_yes, linking=linking)
             assert clusters[resolve.decide_link(fig1, em, 4, clusters)] == [3]
+
+
+class TestClusterDecodeUsesTables:
+    """cr and em decode without cluster or new-cluster name vectors: the
+    coreference model is never scored through learn.score.  The pipeline
+    gate still scores its anaphoricity vector, with its own model."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        return [*synth_corpus(14, seed=19), *synth_corpus(1, seed=4, mentions_low=30, mentions_high=30)]
+
+    @pytest.mark.parametrize("family", ["cr", "em"])
+    @pytest.mark.parametrize("anaph", ["joint", "pipeline"])
+    @pytest.mark.parametrize("loss", ["hinge", "log"])
+    def test_no_name_vectors(self, monkeypatch, docs, family, anaph, loss):
+        cfg = cli.ExperimentConfig(family=family, loss=loss, anaph=anaph, epochs=5)
+        bundle = cli.train_bundle(docs[:10], cfg)
+        spec = bundle.resolver_spec()
+        test_docs = cli.prepare_test_docs(docs[10:], bundle)
+        expected = [ref.resolve(doc, spec) for doc in test_docs]
+        assert any(m.unseen for doc in test_docs for m in doc.mentions)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("name vector built at decode time")
+
+        real_score = learn.score
+
+        def anaphoricity_score_only(model, vec):
+            if model is not spec.anaph_model:
+                raise AssertionError("coreference model scored from a name vector")
+            return real_score(model, vec)
+
+        monkeypatch.setattr(feats, "cluster_features", refuse)
+        monkeypatch.setattr(feats, "null_option", refuse)
+        monkeypatch.setattr(learn, "score", anaphoricity_score_only)
+        assert [resolve.resolve(doc, spec) for doc in test_docs] == expected
