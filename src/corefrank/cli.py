@@ -12,7 +12,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from statistics import pstdev
 from typing import Callable, Sequence
 
@@ -463,33 +463,16 @@ def _config_record(cfg: ExperimentConfig) -> dict:
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=sorted(FAMILY_CODES), default="cr")
-    parser.add_argument("--features", choices=feats.FEATURE_SETS, default=feats.COMBINED)
-    parser.add_argument("--loss", choices=("hinge", "log"), default="hinge")
-    parser.add_argument("--linking", choices=sorted(LINKING_CODES), default="closest")
-    parser.add_argument("--anaph", choices=sorted(ANAPH_CODES), default="joint")
-    parser.add_argument("--c", type=float, default=1.0)
-    parser.add_argument("--epochs", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--unseen-rate", type=float, default=0.10)
-    parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--metric", choices=score.METRICS, default=score.BCUBED)
+    """One flag per `ExperimentConfig` field, with that field's default."""
+    choices = {"family": sorted(FAMILY_CODES), "features": feats.FEATURE_SETS, "loss": ("hinge", "log"),
+               "linking": sorted(LINKING_CODES), "anaph": sorted(ANAPH_CODES), "metric": score.METRICS}
+    for f in fields(ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, type=type(f.default), choices=choices.get(f.name), default=f.default)
 
 
 def _cfg_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        family=args.family,
-        features=args.features,
-        loss=args.loss,
-        linking=args.linking,
-        anaph=args.anaph,
-        c=args.c,
-        epochs=args.epochs,
-        seed=args.seed,
-        unseen_rate=args.unseen_rate,
-        folds=args.folds,
-        metric=args.metric,
-    )
+    return ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -502,9 +485,15 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 
 def _load_keys(path: str) -> list[PartitionDoc]:
+    """A corpus if the first non-blank line is an object with sentences,
+    otherwise a partition file, whose loader names a malformed line."""
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    if first.strip() and "sentences" in json.loads(first):
+        first = next((line for line in fh if line.strip()), "")
+    try:
+        rec = json.loads(first)
+    except json.JSONDecodeError:
+        rec = None
+    if isinstance(rec, dict) and "sentences" in rec:
         return [corpus_mod.key_partition_doc(d) for d in corpus_mod.load_corpus(path)]
     return corpus_mod.load_partition_file(path)
 
@@ -564,14 +553,14 @@ def cmd_score(args) -> None:
         if resp.doc_id not in keys:
             raise ValueError(f"response document {resp.doc_id!r} missing from the key file")
         pairs.append((keys[resp.doc_id], resp))
-    b3, ceaf = score.corpus_stats(pairs)
-    per_doc = {
-        resp.doc_id: {
-            metric: _report_entry(score.score_pair(key, resp, metric))
-            for metric in score.METRICS
+    b3, ceaf = score.BcubedStats(), score.CeafStats()
+    per_doc = {}
+    for key, resp in pairs:
+        doc_b3, doc_ceaf = score.document_stats(key, resp)
+        b3, ceaf = b3 + doc_b3, ceaf + doc_ceaf
+        per_doc[resp.doc_id] = {
+            score.BCUBED: _report_entry(doc_b3.report()), score.CEAF: _report_entry(doc_ceaf.report())
         }
-        for key, resp in pairs
-    }
     report = {
         "bcubed": _report_entry(b3.report()),
         "ceaf": _report_entry(ceaf.report()),

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Callable, Iterable, Sequence
 
 from . import pronouns
 
@@ -38,15 +38,6 @@ SEMCLASS_VALUES = (
 ANIMACY_VALUES = ("Y", "N", "UNKNOWN")
 NE_VALUES = ("PERSON", "LOCATION", "ORGANIZATION", "NONE")
 SOURCES = ("BN", "BC", "NW", "WL", "UN", "CTS", "OTHER")
-_MENTION_FIELD_TYPES = {  # exact types: a bool is not accepted as an int
-    **dict.fromkeys(("id", "sent", "start", "end"), (int,)),
-    **dict.fromkeys(
-        ("head_start", "head_end", "appositive_with", "copular_with", "maximalnp_group"), (int, type(None))
-    ),
-    **dict.fromkeys(
-        ("subject", "nested", "embedded", "indefinite", "definite", "demonstrative", "quantified", "unseen"), (bool,)
-    ),
-}
 
 
 class CorpusError(ValueError):
@@ -98,6 +89,9 @@ class Partition:
         for c in self.clusters:
             if not c:
                 raise CorpusError("invariant 'clusters non-empty' violated", doc_id=doc_id)
+            for m in c:
+                if type(m) is not int:
+                    raise CorpusError(f"invariant 'cluster members are integers' violated: {m!r}", doc_id=doc_id)
             overlap = seen.intersection(c)
             if overlap:
                 raise CorpusError(
@@ -156,6 +150,22 @@ class Mention:
     copular_with: int | None = None
     maximalnp_group: int | None = None
     unseen: bool = False
+
+
+_MENTION_FIELDS = fields(Mention)
+# Each string field is checked against its value set, every other field by
+# exact type (a bool is not accepted as an int); an annotation outside the
+# type table fails here, at import.
+_MENTION_VALUES = {
+    "mtype": MENTION_TYPES,
+    "number": NUMBER_VALUES,
+    "gender": GENDER_VALUES,
+    "semclass": SEMCLASS_VALUES,
+    "animacy": ANIMACY_VALUES,
+    "ne_tag": NE_VALUES,
+}
+_EXACT_TYPES = {"int": (int,), "int | None": (int, type(None)), "bool": (bool,)}
+_MENTION_FIELD_TYPES = {f.name: _EXACT_TYPES[f.type] for f in _MENTION_FIELDS if f.name not in _MENTION_VALUES}
 
 
 @dataclass(eq=False)
@@ -234,14 +244,7 @@ class Document:
                     raise CorpusError(
                         f"invariant 'head span inside mention span' violated at mention {m.id}", doc_id=did
                     )
-            for attr, values in (
-                ("mtype", MENTION_TYPES),
-                ("number", NUMBER_VALUES),
-                ("gender", GENDER_VALUES),
-                ("semclass", SEMCLASS_VALUES),
-                ("animacy", ANIMACY_VALUES),
-                ("ne_tag", NE_VALUES),
-            ):
+            for attr, values in _MENTION_VALUES.items():
                 if getattr(m, attr) not in values:
                     raise CorpusError(
                         f"invariant '{attr} is a known value' violated at mention {m.id}: {getattr(m, attr)!r}",
@@ -317,14 +320,11 @@ def surface_vocab(docs: Sequence[Document]) -> set[str]:
     return {doc.text(m) for doc in docs for m in doc.mentions if not m.unseen}
 
 
-def _with_unseen(docs: Sequence[Document], marked: set[str]) -> list[Document]:
-    out = []
-    for doc in docs:
-        mentions = [replace(m, unseen=doc.text(m) in marked) for m in doc.mentions]
-        out.append(
-            Document(doc.doc_id, doc.source, doc.sentences, mentions, doc.gold_partition)
-        )
-    return out
+def _with_unseen(docs: Sequence[Document], is_unseen: Callable[[str], bool]) -> list[Document]:
+    """New documents whose mentions are marked by their surface string."""
+    return [
+        replace(doc, mentions=[replace(m, unseen=is_unseen(doc.text(m))) for m in doc.mentions]) for doc in docs
+    ]
 
 
 def unseen_train(docs: Sequence[Document], rate: float, seed: int) -> list[Document]:
@@ -353,61 +353,30 @@ def unseen_train(docs: Sequence[Document], rate: float, seed: int) -> list[Docum
             continue
         marked.add(text)
         marked_count += common_count[text]
-    return _with_unseen(docs, marked)
+    return _with_unseen(docs, marked.__contains__)
 
 
 def unseen_test(docs: Sequence[Document], train_vocab: set[str]) -> list[Document]:
     """Mark every mention whose surface string was not seen in training."""
-    out = []
-    for doc in docs:
-        mentions = [replace(m, unseen=doc.text(m) not in train_vocab) for m in doc.mentions]
-        out.append(
-            Document(doc.doc_id, doc.source, doc.sentences, mentions, doc.gold_partition)
-        )
-    return out
+    return _with_unseen(docs, lambda text: text not in train_vocab)
 
 
 # --------------------------------------------------------------------------
 # Serialization
 # --------------------------------------------------------------------------
 
-_MENTION_DEFAULTS = {
-    "head_start": None,
-    "head_end": None,
-    "number": "UNKNOWN",
-    "gender": "UNKNOWN",
-    "semclass": "UNKNOWN",
-    "animacy": "UNKNOWN",
-    "ne_tag": "NONE",
-    "subject": False,
-    "nested": False,
-    "embedded": False,
-    "indefinite": False,
-    "definite": False,
-    "demonstrative": False,
-    "quantified": False,
-    "appositive_with": None,
-    "copular_with": None,
-    "maximalnp_group": None,
-    "unseen": False,
-}
-
-
 def mention_to_record(m: Mention) -> dict:
-    rec = {"id": m.id, "sent": m.sent, "start": m.start, "end": m.end, "mtype": m.mtype}
-    for key, default in _MENTION_DEFAULTS.items():
-        value = getattr(m, key)
-        if value != default:
-            rec[key] = value
+    """Required fields, then every optional field that differs from its default."""
+    rec = {}
+    for f in _MENTION_FIELDS:
+        value = getattr(m, f.name)
+        if f.default is MISSING or value != f.default:
+            rec[f.name] = value
     return rec
 
 
 def mention_from_record(rec: dict) -> Mention:
-    kwargs = {k: rec[k] for k in ("id", "sent", "start", "end", "mtype")}
-    for key in _MENTION_DEFAULTS:
-        if key in rec:
-            kwargs[key] = rec[key]
-    return Mention(**kwargs)
+    return Mention(**{f.name: rec[f.name] for f in _MENTION_FIELDS if f.default is MISSING or f.name in rec})
 
 
 def doc_to_record(doc: Document) -> dict:
@@ -437,22 +406,25 @@ def doc_from_record(rec: dict) -> Document:
     return doc
 
 
-def load_corpus(path: str) -> list[Document]:
-    """Load a line-delimited corpus file, validating every document."""
-    docs = []
+def _load_records(path: str, parse: Callable[[object], object]) -> list:
+    """Parse every non-blank line of a JSONL file; a failure names its line."""
+    out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                out.append(parse(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"parse error: {exc.msg}", line=lineno) from exc
-            try:
-                docs.append(doc_from_record(rec))
             except CorpusError as exc:
                 raise CorpusError(str(exc), line=lineno) from exc
-    return docs
+    return out
+
+
+def load_corpus(path: str) -> list[Document]:
+    """Load a line-delimited corpus file, validating every document."""
+    return _load_records(path, doc_from_record)
 
 
 def save_corpus(docs: Sequence[Document], path: str) -> None:
@@ -494,20 +466,7 @@ def response_partition_doc(doc: Document, partition: Partition) -> PartitionDoc:
 
 
 def load_partition_file(path: str) -> list[PartitionDoc]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"parse error: {exc.msg}", line=lineno) from exc
-            try:
-                out.append(partition_doc_from_record(rec))
-            except CorpusError as exc:
-                raise CorpusError(str(exc), line=lineno) from exc
-    return out
+    return _load_records(path, partition_doc_from_record)
 
 
 def save_partition_file(pds: Sequence[PartitionDoc], path: str) -> None:

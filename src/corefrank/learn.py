@@ -185,9 +185,6 @@ class _AveragedSGD:
         self.q += self.a
         self.steps += 1
 
-    def current(self) -> np.ndarray:
-        return self.a * self.v
-
     def averaged(self) -> np.ndarray:
         if self.steps == 0:
             return np.zeros_like(self.v)
@@ -254,9 +251,8 @@ def log_classifier_objective(
     lam = _lambda(cfg.c, len(enc.rows))
     w = _vec_to_arrays(enc, weights, bias)
     matrix = enc.matrix()
-    scores = matrix @ w
-    margins = enc.labels * scores
-    obj = 0.5 * lam * float(w @ w) + float(np.logaddexp(0.0, -margins).mean())
+    obj = _classifier_objective_arrays(matrix, enc.labels, w, lam, LOG)
+    margins = enc.labels * (matrix @ w)
     coef = np.array([-_sigmoid(-m) for m in margins]) * enc.labels / len(enc.rows)
     grad = lam * w + matrix.T @ coef
     grad_w = {name: float(grad[i]) for name, i in enc.index.items() if name != _BIAS}
@@ -275,19 +271,16 @@ def log_ranker_objective(
     matrix = enc.matrix()
     scores = matrix @ w
     grad = lam * w
-    total = 0.0
     for rows in enc.groups:
         s = scores[rows]
         correct = rows[np.flatnonzero(enc.labels[rows] == 2.0)[0]]
-        shifted = s - s.max()
-        p = np.exp(shifted)
+        p = np.exp(s - s.max())
         p /= p.sum()
-        total += float(np.log(np.exp(shifted).sum()) + s.max() - scores[correct])
         for local, row in enumerate(rows):
             idx, val = enc.rows[row]
             target = p[local] - (1.0 if row == correct else 0.0)
             grad[idx] += target * val / len(enc.groups)
-    obj = 0.5 * lam * float(w @ w) + total / len(enc.groups)
+    obj = _ranker_objective_arrays(matrix, enc.labels, enc.groups, w, lam)
     grad_w = {name: float(grad[i]) for name, i in enc.index.items()}
     return obj, grad_w
 

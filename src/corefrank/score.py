@@ -43,7 +43,6 @@ class ScoreReport:
     recall: float
     precision: float
     f1: float
-    counts: dict = field(default_factory=dict)
 
 
 def _f1(recall: float, precision: float) -> float:
@@ -119,12 +118,12 @@ class BcubedStats:
             self.universe + other.universe,
         )
 
-    def report(self, counts: dict | None = None) -> ScoreReport:
+    def report(self) -> ScoreReport:
         if self.universe == 0:
-            return ScoreReport(BCUBED, 0.0, 0.0, 0.0, counts or {})
+            return ScoreReport(BCUBED, 0.0, 0.0, 0.0)
         recall = self.recall_sum / self.universe
         precision = self.precision_sum / self.universe
-        return ScoreReport(BCUBED, recall, precision, _f1(recall, precision), counts or {})
+        return ScoreReport(BCUBED, recall, precision, _f1(recall, precision))
 
 
 def bcubed_stats(
@@ -153,9 +152,7 @@ def bcubed_stats(
 
 def bcubed(key: Partition, response: Partition, alignment: MentionAlignment) -> ScoreReport:
     """B3 report; ``preprocess_response`` must already have been applied."""
-    return bcubed_stats(key, response, alignment).report(
-        counts=_counts(key, response, alignment)
-    )
+    return bcubed_stats(key, response, alignment).report()
 
 
 # --------------------------------------------------------------------------
@@ -190,10 +187,10 @@ class CeafStats:
             self.resp_mentions + other.resp_mentions,
         )
 
-    def report(self, counts: dict | None = None) -> ScoreReport:
+    def report(self) -> ScoreReport:
         recall = self.matched / self.key_mentions if self.key_mentions else 0.0
         precision = self.matched / self.resp_mentions if self.resp_mentions else 0.0
-        return ScoreReport(CEAF, recall, precision, _f1(recall, precision), counts or {})
+        return ScoreReport(CEAF, recall, precision, _f1(recall, precision))
 
 
 def ceaf_stats(key: Partition, response: Partition, alignment: MentionAlignment) -> CeafStats:
@@ -215,31 +212,24 @@ def ceaf_stats(key: Partition, response: Partition, alignment: MentionAlignment)
 def ceaf_phi3(key: Partition, response: Partition, alignment: MentionAlignment) -> ScoreReport:
     """CEAF report under the intersection-size cluster similarity;
     ``preprocess_response`` must already have been applied."""
-    return ceaf_stats(key, response, alignment).report(
-        counts=_counts(key, response, alignment)
+    return ceaf_stats(key, response, alignment).report()
+
+
+def document_stats(key: PartitionDoc, resp: PartitionDoc) -> tuple[BcubedStats, CeafStats]:
+    """B3 and CEAF stats of one document, in `METRICS` order, preprocessed and aligned once."""
+    resp = preprocess_response(key, resp)
+    alignment = align_mentions(key, resp)
+    return (
+        bcubed_stats(key.partition, resp.partition, alignment),
+        ceaf_stats(key.partition, resp.partition, alignment),
     )
-
-
-def _counts(key: Partition, response: Partition, alignment: MentionAlignment) -> dict:
-    return {
-        "key_mentions": len(key.universe()),
-        "response_mentions": len(response.universe()),
-        "key_clusters": len(key.clusters),
-        "response_clusters": len(response.clusters),
-        "twinless_key": len(alignment.twinless_key),
-        "twinless_response": len(alignment.twinless_resp & response.universe()),
-    }
 
 
 def score_pair(key: PartitionDoc, resp: PartitionDoc, metric: str) -> ScoreReport:
     """Convenience wrapper: preprocess, align, and score one document."""
-    resp = preprocess_response(key, resp)
-    alignment = align_mentions(key, resp)
-    if metric == BCUBED:
-        return bcubed(key.partition, resp.partition, alignment)
-    if metric == CEAF:
-        return ceaf_phi3(key.partition, resp.partition, alignment)
-    raise ValueError(f"unknown metric {metric!r}")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    return document_stats(key, resp)[METRICS.index(metric)].report()
 
 
 def corpus_stats(
@@ -249,10 +239,8 @@ def corpus_stats(
     b3 = BcubedStats()
     ceaf = CeafStats()
     for key, resp in pairs:
-        resp = preprocess_response(key, resp)
-        alignment = align_mentions(key, resp)
-        b3 = b3 + bcubed_stats(key.partition, resp.partition, alignment)
-        ceaf = ceaf + ceaf_stats(key.partition, resp.partition, alignment)
+        doc_b3, doc_ceaf = document_stats(key, resp)
+        b3, ceaf = b3 + doc_b3, ceaf + doc_ceaf
     return b3, ceaf
 
 

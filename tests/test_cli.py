@@ -65,6 +65,59 @@ class TestBasicCommands:
         assert "ceaf" not in out
 
 
+class TestScoreAndValidateInputs:
+    @pytest.mark.parametrize(
+        "clusters, value",
+        [([[0, 2, 5], [True], [3], [4]], "True"), ([[0.0, 2.0, 5.0], [1.0], [3.0], [4.0]], "0.0")],
+        ids=["bool", "float"],
+    )
+    def test_validate_rejects_non_integer_cluster_member(self, fig1, tmp_path, capsys, clusters, value):
+        path = tmp_path / "bad.jsonl"
+        rec = {**corpus.doc_to_record(fig1), "clusters": clusters}
+        path.write_text(json.dumps(corpus.doc_to_record(fig1)) + "\n" + json.dumps(rec) + "\n")
+        assert run(["validate", path]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {
+            "error": "CorpusError",
+            "detail": f"line 2: doc 'fig1': invariant 'cluster members are integers' violated: {value}",
+        }
+
+    def test_score_rejects_non_integer_response_member(self, fig1, tmp_path, capsys):
+        key = tmp_path / "key.jsonl"
+        corpus.save_corpus([fig1], str(key))
+        rec = corpus.partition_doc_to_record(corpus.key_partition_doc(fig1))
+        rec["clusters"] = [[0, 2, 5], [True], [3], [4]]
+        response = tmp_path / "response.jsonl"
+        response.write_text(json.dumps(rec) + "\n")
+        assert run(["score", key, response]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "CorpusError"
+        assert record["detail"].startswith("line 1: doc 'fig1': invariant 'cluster members are integers'")
+
+    @pytest.mark.parametrize("first", ["5", "{bad"], ids=["number", "broken-json"])
+    def test_score_malformed_first_key_line_names_the_line(self, fig1, tmp_path, capsys, first):
+        key = tmp_path / "key.jsonl"
+        key.write_text(first + "\n" + json.dumps(corpus.doc_to_record(fig1)) + "\n")
+        response = tmp_path / "response.jsonl"
+        corpus.save_partition_file([corpus.key_partition_doc(fig1)], str(response))
+        assert run(["score", key, response]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "CorpusError"
+        assert record["detail"].startswith("line 1: ")
+
+    def test_score_key_corpus_after_blank_line_is_checked_as_a_corpus(self, fig1, tmp_path, capsys):
+        rec = corpus.doc_to_record(fig1)
+        rec["mentions"][1]["mtype"] = "BOGUS"
+        key = tmp_path / "key.jsonl"
+        key.write_text("\n" + json.dumps(rec) + "\n")
+        response = tmp_path / "response.jsonl"
+        corpus.save_partition_file([corpus.key_partition_doc(fig1)], str(response))
+        assert run(["score", key, response]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "CorpusError"
+        assert record["detail"].startswith("line 2: doc 'fig1': invariant 'mtype is a known value'")
+
+
 class TestTrainResolveScore:
     def test_full_pipeline(self, small_corpus_path, tmp_path, capsys):
         bundle_path = tmp_path / "model.json"

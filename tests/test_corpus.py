@@ -1,11 +1,13 @@
 import json
 import re
+from dataclasses import fields
 
 import pytest
 
 from corefrank import pronouns
 from corefrank.corpus import (
     CorpusError,
+    Mention,
     doc_to_record,
     doc_from_record,
     head_of,
@@ -80,6 +82,18 @@ class TestLoadCorpus:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(doc_to_record(fig1)) + "\n" + json.dumps(rec) + "\n")
         with pytest.raises(CorpusError, match=rf"line 2.*'{field} is an? (integer|boolean)' violated at mention 1"):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(Mention)])
+    def test_every_mention_field_is_checked(self, fig1, tmp_path, field):
+        # each field is checked by exact type or by value set; a list fits neither
+        rec = doc_to_record(fig1)
+        rec["mentions"][1][field] = [field]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(doc_to_record(fig1)) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(
+            CorpusError, match=rf"line 2.*'{field} is (an integer|a boolean|a known value)' violated at mention 1"
+        ):
             load_corpus(str(path))
 
     @pytest.mark.parametrize(
