@@ -2,8 +2,13 @@
 
 Every extractor returns a sparse vector: a dict from feature name to a
 non-zero real value.  Discrete features are binarized as ``NAME=VALUE``
-entries with value 1, so a pair vector from the conventional extractor
-always carries exactly 39 entries, one per feature.
+entries with value 1.
+
+A coreference feature set is two choices: whether it carries the
+conventional rows (``fs != LEXICAL``) and whether it carries the lexical
+core (``fs != CONVENTIONAL``); the combined set carries both.
+``pair_features``, ``cluster_features``, ``null_option`` and
+``cluster_scores`` take the set as a parameter and read it that way.
 
 Feature-name namespaces (collision-free by construction):
   ``NAME=VALUE``            conventional binarized features
@@ -180,7 +185,6 @@ def alias(doc: Document, j: Mention, k: Mention) -> bool:
 BLOCK1_NAMES = ("PRONOUN_1", "SUBJECT_1", "NESTED_1")
 BLOCK2_NAMES = ("NUMBER_2", "GENDER_2", "PRONOUN_2", "NESTED_2", "SEMCLASS_2", "ANIMACY_2", "PRO_TYPE_2")
 
-
 def _yn(flag: bool) -> str:
     return "Y" if flag else "N"
 
@@ -232,7 +236,7 @@ def _copular_pair(j: Mention, k: Mention) -> bool:
 
 def relational_values(doc: Document, j: int, k: int) -> dict[str, str]:
     """Row -> value of the 29 conventional rows that relate the two mentions
-    (every row after block 2), in ``conventional_pair`` order.
+    (every row after block 2), in ``pair_features`` order.
 
     These are the rows the cluster predicates quantify over.
     """
@@ -299,21 +303,6 @@ def relational_values(doc: Document, j: int, k: int) -> dict[str, str]:
     values["ANIMACY'"] = f"{animacy_flag(mj)}-{animacy_flag(mk)}"
     values["PRO_TYPE'"] = f"{pt_j}-{pt_k}"
     return values
-
-
-def conventional_pair(doc: Document, j: int, k: int) -> dict[str, float]:
-    """The 39 binarized conventional features for a candidate/anaphor pair."""
-    if not j < k:
-        raise ValueError(f"pair features require j < k, got ({j}, {k})")
-    mj = doc.mentions[j]
-    values: dict[str, str] = {
-        "PRONOUN_1": _yn(mj.mtype == "PRONOUN"),
-        "SUBJECT_1": _yn(mj.subject),
-        "NESTED_1": _yn(mj.nested),
-    }
-    values.update(block2_values(doc, doc.mentions[k]))
-    values.update(relational_values(doc, j, k))
-    return _binarize(values)
 
 
 # --------------------------------------------------------------------------
@@ -464,21 +453,6 @@ def _lexical_values(doc: Document, j: int, k: int) -> dict[str, str]:
     return {"ALIAS": _ci(alias(doc, mj, mk)), "DISTANCE": distance_bin(mj.sent, mk.sent)}
 
 
-def lexical_pair(doc: Document, j: int, k: int) -> dict[str, float]:
-    """Lexical feature set for a pair: unseen gate, head pair, semi-lexical,
-    plus the ALIAS and DISTANCE carry-overs.
-
-    A pair with exactly one replaced mention yields nothing; a pair of two
-    replaced mentions yields exactly one unseen feature.
-    """
-    if not j < k:
-        raise ValueError(f"pair features require j < k, got ({j}, {k})")
-    core = _lexical_core(doc, j, k)
-    if not doc.mentions[j].unseen and not doc.mentions[k].unseen:
-        core.update(_binarize(_lexical_values(doc, j, k)))
-    return core
-
-
 # --------------------------------------------------------------------------
 # Cluster-level features
 # --------------------------------------------------------------------------
@@ -580,49 +554,11 @@ def _predicate_features(
     return out
 
 
-def _check_cluster(c: Iterable[int], k: int) -> list[int]:
-    members = sorted(c)
-    if not members:
-        raise ValueError("cluster features require a non-empty cluster")
-    if members[-1] >= k:
-        raise ValueError(f"all cluster members must precede mention {k}")
-    return members
-
-
-def cluster_conventional(doc: Document, c: Iterable[int], k: int) -> dict[str, float]:
-    """Conventional cluster features: the active mention's own block plus one
-    logical predicate per binarized relational feature over the cluster."""
-    members = _check_cluster(c, k)
-    values = [relational_values(doc, j, k).items() for j in members]
-    out = block2_features(doc, doc.mentions[k])
-    out.update(_predicate_features(values, _CLUSTER_ROWS))
-    return out
-
-
-def cluster_lexical(doc: Document, c: Iterable[int], k: int) -> dict[str, float]:
-    """Lexical cluster features: predicate-encoded ALIAS/DISTANCE plus the
-    pairwise lexical features valued by how often they fire across members."""
-    members = _check_cluster(c, k)
-    values = [_lexical_values(doc, j, k).items() for j in members]
-    out = _predicate_features(values, _LEXICAL_PREDICATE_ROWS)
-    _add_lexical_core(out, doc, members, k)
-    return out
-
-
-def _add_lexical_core(out: dict[str, float], doc: Document, members: Iterable[int], k: int) -> None:
-    for j in members:
-        for name, value in _lexical_core(doc, j, k).items():
-            out[name] = out.get(name, 0.0) + value
-
-
 def null_option(doc: Document, k: int, fs: str = CONVENTIONAL) -> dict[str, float]:
     """Features for the start-a-new-cluster option of the joint rankers."""
     _check_feature_set(fs)
-    mk = doc.mentions[k]
-    out: dict[str, float] = {}
-    if fs in (CONVENTIONAL, COMBINED):
-        out.update(block2_features(doc, mk))
-    if fs in (LEXICAL, COMBINED):
+    out = block2_features(doc, doc.mentions[k]) if fs != LEXICAL else {}
+    if fs != CONVENTIONAL:
         out[_null_name(doc, k)] = 1.0
     return out
 
@@ -761,7 +697,7 @@ def cluster_scores(
 
 
 # --------------------------------------------------------------------------
-# Feature-set dispatch
+# Name vectors per feature set
 # --------------------------------------------------------------------------
 
 
@@ -771,29 +707,66 @@ def _check_feature_set(fs: str) -> None:
 
 
 def pair_features(doc: Document, j: int, k: int, fs: str) -> dict[str, float]:
+    """The name vector of candidate j and anaphor k under feature set ``fs``.
+
+    The conventional rows are the 39 binarized block-1, block-2 and
+    relational features.  The lexical set starts from the lexical core and
+    adds the ALIAS and DISTANCE rows unless a mention is replaced, so a pair
+    with exactly one replaced mention yields nothing and a pair of two
+    yields exactly one unseen feature.  The combined set's ALIAS and
+    DISTANCE are already among its conventional rows, so it adds only the
+    core, after them.
+    """
     _check_feature_set(fs)
-    if fs == CONVENTIONAL:
-        return conventional_pair(doc, j, k)
-    if fs == LEXICAL:
-        return lexical_pair(doc, j, k)
-    # The lexical set's ALIAS and DISTANCE names are already in the
-    # conventional vector with the same values, so only its core is added.
-    out = conventional_pair(doc, j, k)
-    out.update(_lexical_core(doc, j, k))
+    if not j < k:
+        raise ValueError(f"pair features require j < k, got ({j}, {k})")
+    conventional = fs != LEXICAL
+    lexical = fs != CONVENTIONAL
+    mj = doc.mentions[j]
+    mk = doc.mentions[k]
+    if not conventional:
+        out = _lexical_core(doc, j, k)
+        if not mj.unseen and not mk.unseen:
+            out.update(_binarize(_lexical_values(doc, j, k)))
+        return out
+    values: dict[str, str] = {
+        "PRONOUN_1": _yn(mj.mtype == "PRONOUN"),
+        "SUBJECT_1": _yn(mj.subject),
+        "NESTED_1": _yn(mj.nested),
+    }
+    values.update(block2_values(doc, mk))
+    values.update(relational_values(doc, j, k))
+    out = _binarize(values)
+    if lexical:
+        out.update(_lexical_core(doc, j, k))
     return out
 
 
 def cluster_features(doc: Document, c: Iterable[int], k: int, fs: str) -> dict[str, float]:
+    """The name vector of anaphor k against the preceding cluster ``c``.
+
+    With the conventional rows: k's own block 2, then one logical predicate
+    per binarized relational feature over the members.  Without them: the
+    predicates of the ALIAS and DISTANCE rows only.  With the lexical core:
+    every member's pairwise core features after those, each valued by how
+    often it fires across the members.
+    """
     _check_feature_set(fs)
-    members = tuple(sorted(c))
-    if fs == CONVENTIONAL:
-        return cluster_conventional(doc, members, k)
-    if fs == LEXICAL:
-        return cluster_lexical(doc, members, k)
-    # As in pair_features: the lexical ALIAS and DISTANCE predicates repeat
-    # conventional ones, so only the lexical core is added.
-    out = cluster_conventional(doc, members, k)
-    _add_lexical_core(out, doc, members, k)
+    members = sorted(c)
+    if not members:
+        raise ValueError("cluster features require a non-empty cluster")
+    if members[-1] >= k:
+        raise ValueError(f"all cluster members must precede mention {k}")
+    conventional = fs != LEXICAL
+    lexical = fs != CONVENTIONAL
+    out = block2_features(doc, doc.mentions[k]) if conventional else {}
+    values_of = relational_values if conventional else _lexical_values
+    rows = _CLUSTER_ROWS if conventional else _LEXICAL_PREDICATE_ROWS
+    out.update(_predicate_features([values_of(doc, j, k).items() for j in members], rows))
+    if lexical:
+        for j in members:
+            for name, value in _lexical_core(doc, j, k).items():
+                out[name] = out.get(name, 0.0) + value
     return out
 
 

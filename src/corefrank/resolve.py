@@ -1,9 +1,11 @@
 """Resolvers: turn trained models into document partitions.
 
-All resolvers process mentions left to right and maintain the clusters
-built so far, so the assignment of mention k depends only on mentions
-before it.  ``decide_link`` exposes the single-mention decision procedure,
-which the diagnostic class scorer reuses with oracle overrides.
+``resolve(doc, spec)`` resolves every family through ``left_to_right``,
+which assigns mentions in document order given the clusters built so
+far, so the assignment of mention k depends only on mentions before it.
+The per-mention choice is a function: ``decide_link`` for ``resolve``;
+for the class diagnostic, ``decide_link`` on class members and a gold
+oracle elsewhere.
 
 The cluster families score their candidate clusters and new-cluster
 option from the model's ``(row, value)`` weight table
@@ -14,6 +16,7 @@ Training builds name vectors for every family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import feats, learn
 from .corpus import Document, Partition
@@ -147,10 +150,13 @@ def decide_link(doc: Document, spec: ResolverSpec, k: int, clusters: list[list[i
     return ci
 
 
-def _run(doc: Document, spec: ResolverSpec) -> Partition:
+def left_to_right(doc: Document, choose: Callable[[int, list[list[int]]], int | None]) -> Partition:
+    """Assign mentions in document order: ``choose(k, clusters)`` returns
+    the index of the cluster mention k joins, or None to start a new one,
+    given the clusters over mentions 0..k-1 in creation order."""
     clusters: list[list[int]] = []
     for k in range(len(doc.mentions)):
-        choice = decide_link(doc, spec, k, clusters)
+        choice = choose(k, clusters)
         if choice is None:
             clusters.append([k])
         else:
@@ -158,38 +164,14 @@ def _run(doc: Document, spec: ResolverSpec) -> Partition:
     return Partition(clusters)
 
 
+def resolve(doc: Document, spec: ResolverSpec) -> Partition:
+    """Resolve ``doc`` with the family, features and models of ``spec``."""
+    return left_to_right(doc, lambda k, clusters: decide_link(doc, spec, k, clusters))
+
+
 def head_match(doc: Document) -> Partition:
     """Transitive closure of head-string equality."""
-    return _run(doc, ResolverSpec(HEAD_MATCH))
-
-
-def resolve_mention_pair(doc: Document, spec: ResolverSpec) -> Partition:
-    if spec.family != MENTION_PAIR:
-        raise ValueError(f"expected a MENTION_PAIR spec, got {spec.family}")
-    return _run(doc, spec)
-
-
-def resolve_entity_mention(doc: Document, spec: ResolverSpec) -> Partition:
-    if spec.family != ENTITY_MENTION:
-        raise ValueError(f"expected an ENTITY_MENTION spec, got {spec.family}")
-    return _run(doc, spec)
-
-
-def resolve_mention_ranking(doc: Document, spec: ResolverSpec) -> Partition:
-    if spec.family != MENTION_RANKING:
-        raise ValueError(f"expected a MENTION_RANKING spec, got {spec.family}")
-    return _run(doc, spec)
-
-
-def resolve_cluster_ranking(doc: Document, spec: ResolverSpec) -> Partition:
-    if spec.family != CLUSTER_RANKING:
-        raise ValueError(f"expected a CLUSTER_RANKING spec, got {spec.family}")
-    return _run(doc, spec)
-
-
-def resolve(doc: Document, spec: ResolverSpec) -> Partition:
-    """Dispatch to the resolver for the configured family."""
-    return _run(doc, spec)
+    return resolve(doc, ResolverSpec(HEAD_MATCH))
 
 
 def predicted_anaphoricity(partition: Partition) -> dict[int, bool]:

@@ -341,13 +341,13 @@ def resolution_class_of(doc: Document, k: int) -> str:
     return f"{prefix}-n"
 
 
-def _oracle_choice(doc: Document, k: int, clusters: list[list[int]], label: str) -> int | None:
+def _oracle_choice(doc: Document, k: int, clusters: list[list[int]], in_class: set[int]) -> int | None:
     """Correct resolution for an out-of-class mention, preferring the
     closest cluster holding an antecedent outside the scored class."""
     if not doc.anaphoric(k):
         return None
     antecedents = [j for j in doc.gold_partition.cluster_of(k) if j < k]
-    outside = [j for j in antecedents if resolution_class_of(doc, j) != label]
+    outside = [j for j in antecedents if j not in in_class]
     pool = outside or antecedents
     j = max(pool)
     return next(ci for ci, cluster in enumerate(clusters) if j in cluster)
@@ -372,17 +372,14 @@ def resolution_class_score(
         n_members += len(members)
         if not members:
             continue
-        clusters: list[list[int]] = []
-        for k in range(len(doc.mentions)):
-            if resolution_class_of(doc, k) == label:
-                choice = resolve_mod.decide_link(doc, spec, k, clusters)
-            else:
-                choice = _oracle_choice(doc, k, clusters, label)
-            if choice is None:
-                clusters.append([k])
-            else:
-                clusters[choice].append(k)
-        response = Partition(clusters)
+        in_class = set(members)
+
+        def choose(k: int, clusters: list[list[int]]) -> int | None:
+            if k in in_class:
+                return resolve_mod.decide_link(doc, spec, k, clusters)
+            return _oracle_choice(doc, k, clusters, in_class)
+
+        response = resolve_mod.left_to_right(doc, choose)
         key_cluster = doc.gold_partition.mention_to_cluster()
         resp_cluster = response.mention_to_cluster()
         for k in members:

@@ -119,7 +119,7 @@ def test_criterion_4_predicate_partition_law():
             specs.append(("Keller", "PROPER", {"gender": "MALE"}))
             doc = make_doc("d", specs)
             k = size
-            vec = feats.cluster_conventional(doc, list(range(size)), k)
+            vec = feats.cluster_features(doc, list(range(size)), k, feats.CONVENTIONAL)
             for _ in range(10):
                 base = rng.choice(closed)
                 fired = [p for p in feats.PREDICATES if f"{p}-{base}" in vec]
@@ -130,7 +130,7 @@ def test_criterion_4_predicate_partition_law():
             specs = [("Alvarez", "PROPER", {"gender": "MALE" if t else "FEMALE"}) for t in truths]
             specs.append(("he", "PRONOUN", {}))
             doc = make_doc("d", specs)
-            return feats.cluster_conventional(doc, list(range(len(truths))), len(truths))
+            return feats.cluster_features(doc, list(range(len(truths))), len(truths), feats.CONVENTIONAL)
 
         assert "MOST-FALSE-GENDER=C" in scripted([True, False, False])
         assert "MOST-TRUE-GENDER=C" in scripted([True, True, False, False])
@@ -236,7 +236,7 @@ def test_criterion_6_oracle_resolver_reproduces_gold():
         )
         pairs = []
         for doc in docs:
-            partition = resolve.resolve_mention_pair(doc, spec)
+            partition = resolve.resolve(doc, spec)
             pairs.append(
                 (corpus.key_partition_doc(doc), corpus.response_partition_doc(doc, partition))
             )

@@ -20,15 +20,15 @@ class TestConventionalPair:
     def test_exactly_39_features(self, fig1):
         for j in range(len(fig1.mentions)):
             for k in range(j + 1, len(fig1.mentions)):
-                assert len(feats.conventional_pair(fig1, j, k)) == 39
+                assert len(feats.pair_features(fig1, j, k, feats.CONVENTIONAL)) == 39
 
     def test_his_he_pronoun_block(self, fig1):
-        vec = feats.conventional_pair(fig1, 2, 5)
+        vec = feats.pair_features(fig1, 2, 5, feats.CONVENTIONAL)
         for name in ("PRONOUN_1=Y", "PRONOUN_2=Y", "BOTH_PRONOUNS=C", "PRO_TYPE_2=HE"):
             assert name in vec
 
     def test_his_he_agreement_rows(self, fig1):
-        vec = feats.conventional_pair(fig1, 2, 5)
+        vec = feats.pair_features(fig1, 2, 5, feats.CONVENTIONAL)
         for name in ("GENDER=C", "NUMBER=C", "PRO_STR_MATCH=I"):
             assert name in vec
 
@@ -37,20 +37,20 @@ class TestConventionalPair:
             "d",
             [("Clinton", "PROPER", {"ne_tag": "PERSON"}), ("Clinton", "PROPER", {"ne_tag": "PERSON"})],
         )
-        vec = feats.conventional_pair(doc, 0, 1)
+        vec = feats.pair_features(doc, 0, 1, feats.CONVENTIONAL)
         for name in ("STR_MATCH=C", "PN_STR_MATCH=C", "HEAD_MATCH=C"):
             assert name in vec
 
     def test_pro_type_match_over_case(self, fig1):
         # "his" and "He" differ as strings but share the nominative form
-        vec = feats.conventional_pair(fig1, 2, 5)
+        vec = feats.pair_features(fig1, 2, 5, feats.CONVENTIONAL)
         assert "PRO_TYPE_MATCH=C" in vec
 
     def test_distance_bins(self):
         doc = make_doc("d", [("Acme", "PROPER", {})] + [("it", "PRONOUN", {})] * 7)
-        assert "DISTANCE=1" in feats.conventional_pair(doc, 0, 1)
-        assert "DISTANCE=4" in feats.conventional_pair(doc, 0, 4)
-        assert "DISTANCE=5+" in feats.conventional_pair(doc, 0, 7)
+        assert "DISTANCE=1" in feats.pair_features(doc, 0, 1, feats.CONVENTIONAL)
+        assert "DISTANCE=4" in feats.pair_features(doc, 0, 4, feats.CONVENTIONAL)
+        assert "DISTANCE=5+" in feats.pair_features(doc, 0, 7, feats.CONVENTIONAL)
 
     def test_concatenation_value(self):
         doc = make_doc(
@@ -60,15 +60,15 @@ class TestConventionalPair:
                 ("they", "PRONOUN", {}),
             ],
         )
-        assert "NUMBER'=SINGULAR-PLURAL" in feats.conventional_pair(doc, 0, 1)
+        assert "NUMBER'=SINGULAR-PLURAL" in feats.pair_features(doc, 0, 1, feats.CONVENTIONAL)
 
     def test_requires_ordered_pair(self, fig1):
         with pytest.raises(ValueError):
-            feats.conventional_pair(fig1, 5, 2)
+            feats.pair_features(fig1, 5, 2, feats.CONVENTIONAL)
 
     def test_unknown_propagates_to_na(self):
         doc = make_doc("d", [("thing", "COMMON", {}), ("object", "COMMON", {})])
-        vec = feats.conventional_pair(doc, 0, 1)
+        vec = feats.pair_features(doc, 0, 1, feats.CONVENTIONAL)
         for name in ("NUMBER=NA", "GENDER=NA", "SEMCLASS=NA", "ANIMACY=NA"):
             assert name in vec
 
@@ -80,17 +80,17 @@ class TestConventionalPair:
                 ("IBM", "PROPER", {"ne_tag": "ORGANIZATION"}),
             ],
         )
-        assert "ALIAS=C" in feats.conventional_pair(doc, 0, 1)
+        assert "ALIAS=C" in feats.pair_features(doc, 0, 1, feats.CONVENTIONAL)
 
     def test_alias_name_prefix(self):
         doc = make_doc(
             "d",
             [("Barack Obama", "PROPER", {"ne_tag": "PERSON"}), ("Barack", "PROPER", {"ne_tag": "PERSON"})],
         )
-        assert "ALIAS=C" in feats.conventional_pair(doc, 0, 1)
+        assert "ALIAS=C" in feats.pair_features(doc, 0, 1, feats.CONVENTIONAL)
 
     def test_determinism(self, fig1):
-        assert feats.conventional_pair(fig1, 0, 5) == feats.conventional_pair(fig1, 0, 5)
+        assert feats.pair_features(fig1, 0, 5, feats.CONVENTIONAL) == feats.pair_features(fig1, 0, 5, feats.CONVENTIONAL)
 
 
 class TestAnaphoricity:
@@ -148,22 +148,22 @@ class TestLexicalPair:
         doc = make_doc("d", [("the airline", "COMMON", {}), ("the airline", "COMMON", {})])
         doc.mentions[0].unseen = True
         doc.mentions[1].unseen = True
-        assert feats.lexical_pair(doc, 0, 1) == {"UNSEEN-SAME": 1.0}
+        assert feats.pair_features(doc, 0, 1, feats.LEXICAL) == {"UNSEEN-SAME": 1.0}
 
     def test_both_unseen_different(self):
         doc = make_doc("d", [("the airline", "COMMON", {}), ("the carrier", "COMMON", {})])
         doc.mentions[0].unseen = True
         doc.mentions[1].unseen = True
-        assert feats.lexical_pair(doc, 0, 1) == {"UNSEEN-DIFF": 1.0}
+        assert feats.pair_features(doc, 0, 1, feats.LEXICAL) == {"UNSEEN-DIFF": 1.0}
 
     def test_one_unseen_yields_nothing(self):
         doc = make_doc("d", [("the airline", "COMMON", {}), ("the carrier", "COMMON", {})])
         doc.mentions[0].unseen = True
-        assert feats.lexical_pair(doc, 0, 1) == {}
+        assert feats.pair_features(doc, 0, 1, feats.LEXICAL) == {}
 
     def test_plain_head_pair(self):
         doc = make_doc("d", [("the airline", "COMMON", {}), ("the carrier", "COMMON", {})])
-        vec = feats.lexical_pair(doc, 0, 1)
+        vec = feats.pair_features(doc, 0, 1, feats.LEXICAL)
         assert "LEX:airline|carrier" in vec
         assert "DISTANCE=1" in vec
         assert "ALIAS=I" in vec
@@ -173,7 +173,7 @@ class TestLexicalPair:
             "d",
             [("Barack Obama", "PROPER", {"ne_tag": "PERSON"}), ("he", "PRONOUN", {})],
         )
-        vec = feats.lexical_pair(doc, 0, 1)
+        vec = feats.pair_features(doc, 0, 1, feats.LEXICAL)
         assert "PERSON|he" in vec
         assert not any(n.startswith("LEX:") for n in vec)
         assert "DISTANCE=1" in vec and "ALIAS=I" in vec
@@ -183,21 +183,21 @@ class TestLexicalPair:
             "d",
             [("Obama", "PROPER", {"ne_tag": "PERSON"}), ("Obama", "PROPER", {"ne_tag": "PERSON"})],
         )
-        assert "PERSON-SAME" in feats.lexical_pair(doc, 0, 1)
+        assert "PERSON-SAME" in feats.pair_features(doc, 0, 1, feats.LEXICAL)
 
     def test_ne_subsame(self):
         doc = make_doc(
             "d",
             [("Barack Obama", "PROPER", {"ne_tag": "PERSON"}), ("Obama", "PROPER", {"ne_tag": "PERSON"})],
         )
-        assert "PERSON-SUBSAME" in feats.lexical_pair(doc, 0, 1)
+        assert "PERSON-SUBSAME" in feats.pair_features(doc, 0, 1, feats.LEXICAL)
 
     def test_ne_label_concatenation(self):
         doc = make_doc(
             "d",
             [("Obama", "PROPER", {"ne_tag": "PERSON"}), ("Valmont", "PROPER", {"ne_tag": "LOCATION"})],
         )
-        assert "PERSON|LOCATION" in feats.lexical_pair(doc, 0, 1)
+        assert "PERSON|LOCATION" in feats.pair_features(doc, 0, 1, feats.LEXICAL)
 
 
 class TestClusterFeatures:
@@ -211,31 +211,31 @@ class TestClusterFeatures:
 
     def test_all_boundary_single_member(self):
         doc = self.build([True])
-        vec = feats.cluster_conventional(doc, [0], 1)
+        vec = feats.cluster_features(doc, [0], 1, feats.CONVENTIONAL)
         assert "ALL-GENDER=C" in vec
 
     def test_one_of_three_is_most_false(self):
         doc = self.build([True, False, False])
-        vec = feats.cluster_conventional(doc, [0, 1, 2], 3)
+        vec = feats.cluster_features(doc, [0, 1, 2], 3, feats.CONVENTIONAL)
         assert "MOST-FALSE-GENDER=C" in vec
 
     def test_two_of_four_is_most_true(self):
         doc = self.build([True, True, False, False])
-        vec = feats.cluster_conventional(doc, [0, 1, 2, 3], 4)
+        vec = feats.cluster_features(doc, [0, 1, 2, 3], 4, feats.CONVENTIONAL)
         assert "MOST-TRUE-GENDER=C" in vec
 
     def test_zero_of_two_is_none(self):
         doc = self.build([False, False])
-        vec = feats.cluster_conventional(doc, [0, 1], 2)
+        vec = feats.cluster_features(doc, [0, 1], 2, feats.CONVENTIONAL)
         assert "NONE-GENDER=C" in vec
 
     def test_includes_block2_verbatim(self, fig1):
-        vec = feats.cluster_conventional(fig1, [0, 2], 5)
+        vec = feats.cluster_features(fig1, [0, 2], 5, feats.CONVENTIONAL)
         for name in ("NUMBER_2=SINGULAR", "GENDER_2=MALE", "PRONOUN_2=Y", "PRO_TYPE_2=HE"):
             assert name in vec
 
     def test_cluster_lexical_fig1(self, fig1):
-        vec = feats.cluster_lexical(fig1, [0, 2], 5)
+        vec = feats.cluster_features(fig1, [0, 2], 5, feats.LEXICAL)
         assert vec["LEX:his|he"] == 1.0
         assert vec["PERSON|he"] == 1.0
         assert any(n.endswith("DISTANCE=0") or n.endswith("DISTANCE=1") for n in vec)
@@ -245,7 +245,7 @@ class TestClusterFeatures:
             "d",
             [("the airline", "COMMON", {}), ("the airline", "COMMON", {}), ("the airline", "COMMON", {})],
         )
-        vec = feats.cluster_lexical(doc, [0, 1], 2)
+        vec = feats.cluster_features(doc, [0, 1], 2, feats.LEXICAL)
         assert vec["LEX:airline|airline"] == 2.0
 
     def test_cluster_lexical_all_members_unseen(self):
@@ -255,12 +255,12 @@ class TestClusterFeatures:
         )
         doc.mentions[0].unseen = True
         doc.mentions[1].unseen = True
-        vec = feats.cluster_lexical(doc, [0, 1], 2)
+        vec = feats.cluster_features(doc, [0, 1], 2, feats.LEXICAL)
         assert all(feats.strip_predicate(n).split("=")[0] in ("ALIAS", "DISTANCE") for n in vec)
 
     def test_cluster_requires_preceding_members(self, fig1):
         with pytest.raises(ValueError):
-            feats.cluster_conventional(fig1, [5], 2)
+            feats.cluster_features(fig1, [5], 2, feats.CONVENTIONAL)
 
 
 @st.composite
@@ -285,7 +285,7 @@ class TestPredicatePartitionLaw:
         specs.append(("Keller", "PROPER", {"gender": "MALE"}))
         doc = make_doc("d", specs)
         k = len(specs) - 1
-        vec = feats.cluster_conventional(doc, list(range(k)), k)
+        vec = feats.cluster_features(doc, list(range(k)), k, feats.CONVENTIONAL)
         by_base = {}
         for name in vec:
             base = feats.strip_predicate(name)
@@ -362,11 +362,11 @@ class TestCombined:
         # one unseen member -> empty; two -> exactly one feature
         doc_one = make_doc("d", [("a", "COMMON", {}), ("b", "COMMON", {})])
         doc_one.mentions[0].unseen = True
-        assert feats.lexical_pair(doc_one, 0, 1) == {}
+        assert feats.pair_features(doc_one, 0, 1, feats.LEXICAL) == {}
         doc_two = make_doc("d", [("a", "COMMON", {}), ("b", "COMMON", {})])
         doc_two.mentions[0].unseen = True
         doc_two.mentions[1].unseen = True
-        assert len(feats.lexical_pair(doc_two, 0, 1)) == 1
+        assert len(feats.pair_features(doc_two, 0, 1, feats.LEXICAL)) == 1
 
 
 class TestFeatureTyping:
@@ -496,13 +496,13 @@ class TestTableOracle:
 
     def test_flags_are_read_live(self):
         doc = make_doc("d", [("the airline", "COMMON", {}), ("the carrier", "COMMON", {})])
-        assert "LEX:airline|carrier" in feats.lexical_pair(doc, 0, 1)
+        assert "LEX:airline|carrier" in feats.pair_features(doc, 0, 1, feats.LEXICAL)
         assert feats.null_option(doc, 1, feats.LEXICAL) == {"NULL-carrier": 1.0}
         doc.mentions[0].unseen = True
         doc.mentions[1].unseen = True
-        assert feats.lexical_pair(doc, 0, 1) == {"UNSEEN-DIFF": 1.0}
+        assert feats.pair_features(doc, 0, 1, feats.LEXICAL) == {"UNSEEN-DIFF": 1.0}
         assert feats.null_option(doc, 1, feats.LEXICAL) == {"NULL-UNSEEN": 1.0}
-        assert feats.cluster_lexical(doc, [0], 1)["UNSEEN-DIFF"] == 1.0
+        assert feats.cluster_features(doc, [0], 1, feats.LEXICAL)["UNSEEN-DIFF"] == 1.0
 
 
 @pytest.fixture(scope="module")

@@ -50,7 +50,7 @@ class TestMentionPairResolver:
         )
 
     def test_always_negative_all_singletons(self, fig1):
-        partition = resolve.resolve_mention_pair(fig1, self.spec(ALWAYS_NO))
+        partition = resolve.resolve(fig1, self.spec(ALWAYS_NO))
         assert all(len(c) == 1 for c in partition.clusters)
 
     def test_oracle_reproduces_gold(self):
@@ -60,7 +60,7 @@ class TestMentionPairResolver:
              ("Bolt", "PROPER", {}), ("Acme", "PROPER", {})],
             [[0, 2, 4], [1, 3]],
         )
-        partition = resolve.resolve_mention_pair(doc, self.spec(str_match_oracle()))
+        partition = resolve.resolve(doc, self.spec(str_match_oracle()))
         assert partition == doc.gold_partition
 
     def test_closest_vs_best_first(self):
@@ -72,12 +72,6 @@ class TestMentionPairResolver:
         best = resolve.decide_link(doc, self.spec(model, resolve.BEST_FIRST), 2, clusters)
         assert clusters[closest] == [1]
         assert clusters[best] == [0]
-
-    def test_family_checked(self, fig1):
-        with pytest.raises(ValueError):
-            resolve.resolve_mention_pair(
-                fig1, resolve.ResolverSpec(resolve.ENTITY_MENTION, feats.CONVENTIONAL, ALWAYS_NO)
-            )
 
     def test_feature_set_mismatch_rejected(self):
         model = hinge_model({}, meta={"features": feats.LEXICAL})
@@ -92,13 +86,13 @@ class TestEntityMentionResolver:
         )
 
     def test_always_negative_all_singletons(self, fig1):
-        partition = resolve.resolve_entity_mention(fig1, self.spec(ALWAYS_NO))
+        partition = resolve.resolve(fig1, self.spec(ALWAYS_NO))
         assert all(len(c) == 1 for c in partition.clusters)
 
     def test_two_mention_positive_pair(self):
         doc = make_doc("d", [("Acme", "PROPER", {}), ("Acme", "PROPER", {})], [[0, 1]])
         model = hinge_model({"ALL-STR_MATCH=C": 2.0}, bias=1.0)
-        partition = resolve.resolve_entity_mention(doc, self.spec(model))
+        partition = resolve.resolve(doc, self.spec(model))
         assert partition.as_sets() == {frozenset({0, 1})}
 
     def test_closest_vs_best_cluster(self):
@@ -118,7 +112,7 @@ class TestMentionRankingResolver:
         spec = resolve.ResolverSpec(
             resolve.MENTION_RANKING, feats.CONVENTIONAL, hinge_model({}, kind=RANK), anaph=resolve.JOINT
         )
-        assert resolve.resolve_mention_ranking(doc, spec).as_sets() == {frozenset({0})}
+        assert resolve.resolve(doc, spec).as_sets() == {frozenset({0})}
 
     def test_joint_null_wins_starts_singleton(self):
         doc = make_doc("d", [("Acme", "PROPER", {}), ("Bolt", "PROPER", {})])
@@ -126,14 +120,14 @@ class TestMentionRankingResolver:
         # so a negative weight there makes the null option win strictly
         model = hinge_model({"STR_MATCH=I": -4.0}, kind=RANK)
         spec = resolve.ResolverSpec(resolve.MENTION_RANKING, feats.CONVENTIONAL, model)
-        partition = resolve.resolve_mention_ranking(doc, spec)
+        partition = resolve.resolve(doc, spec)
         assert partition.as_sets() == {frozenset({0}), frozenset({1})}
 
     def test_tie_links_to_closest(self):
         doc = make_doc("d", [("Acme", "PROPER", {}), ("Acme", "PROPER", {}), ("it", "PRONOUN", {})])
         model = hinge_model({"PRONOUN_2=Y": 1.0}, kind=RANK)  # equal scores for both candidates
         spec = resolve.ResolverSpec(resolve.MENTION_RANKING, feats.CONVENTIONAL, model)
-        partition = resolve.resolve_mention_ranking(doc, spec)
+        partition = resolve.resolve(doc, spec)
         assert partition.mention_to_cluster()[2] == partition.mention_to_cluster()[1]
 
     def test_null_candidate_exact_tie_resolves_to_link(self):
@@ -141,7 +135,7 @@ class TestMentionRankingResolver:
         # all-zero model: every score is 0.0, null ties with the candidate
         model = hinge_model({}, kind=RANK)
         spec = resolve.ResolverSpec(resolve.MENTION_RANKING, feats.CONVENTIONAL, model)
-        partition = resolve.resolve_mention_ranking(doc, spec)
+        partition = resolve.resolve(doc, spec)
         assert partition.as_sets() == {frozenset({0, 1})}
 
     def test_pipeline_requires_anaph_model(self):
@@ -171,10 +165,10 @@ class TestMentionRankingResolver:
             resolve.MENTION_RANKING, feats.CONVENTIONAL, ranker,
             anaph=resolve.PIPELINE, anaph_model=gate_all_in,
         )
-        assert resolve.resolve_mention_ranking(doc, out_spec).as_sets() == {
+        assert resolve.resolve(doc, out_spec).as_sets() == {
             frozenset({0}), frozenset({1})
         }
-        assert resolve.resolve_mention_ranking(doc, in_spec).as_sets() == {frozenset({0, 1})}
+        assert resolve.resolve(doc, in_spec).as_sets() == {frozenset({0, 1})}
 
 
 class TestClusterRankingResolver:
@@ -183,7 +177,7 @@ class TestClusterRankingResolver:
         spec = resolve.ResolverSpec(
             resolve.CLUSTER_RANKING, feats.CONVENTIONAL, hinge_model({}, kind=RANK)
         )
-        assert resolve.resolve_cluster_ranking(doc, spec).as_sets() == {frozenset({0})}
+        assert resolve.resolve(doc, spec).as_sets() == {frozenset({0})}
 
     def test_fig1_hand_built_weights_link_he(self, fig1):
         # Reward the gender-compatible cluster and the his->he lexical pair
@@ -193,7 +187,7 @@ class TestClusterRankingResolver:
             kind=RANK,
         )
         spec = resolve.ResolverSpec(resolve.CLUSTER_RANKING, feats.COMBINED, model)
-        partition = resolve.resolve_cluster_ranking(fig1, spec)
+        partition = resolve.resolve(fig1, spec)
         cluster_of = partition.mention_to_cluster()
         assert cluster_of[5] == cluster_of[0]
         assert 2 in cluster_of[5]
@@ -209,7 +203,7 @@ class TestClusterRankingResolver:
         # winner must be the one whose last mention is nearer.
         model = hinge_model({"NESTED_2=N": 1.0}, kind=RANK)
         spec = resolve.ResolverSpec(resolve.CLUSTER_RANKING, feats.CONVENTIONAL, model)
-        partition = resolve.resolve_cluster_ranking(doc, spec)
+        partition = resolve.resolve(doc, spec)
         cluster_of = partition.mention_to_cluster()
         # clusters before m3: {0,2} (last=2) and {1} (last=1); tie -> join {0,2}
         assert cluster_of[3] == cluster_of[2]
