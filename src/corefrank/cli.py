@@ -109,16 +109,13 @@ class ModelBundle:
     config: dict = field(default_factory=dict)
 
     def resolver_spec(self) -> resolve.ResolverSpec:
-        anaph_model = self.anaph_model
-        if self.family in resolve.RANKING_FAMILIES and self.anaph == resolve.JOINT:
-            anaph_model = None
         return resolve.ResolverSpec(
             family=self.family,
             fs=self.features,
             coref_model=self.coref_model,
             linking=self.linking,
             anaph=self.anaph,
-            anaph_model=anaph_model,
+            anaph_model=self.anaph_model,
         )
 
 
@@ -553,6 +550,12 @@ def cmd_score(args) -> None:
         if resp.doc_id not in keys:
             raise ValueError(f"response document {resp.doc_id!r} missing from the key file")
         pairs.append((keys[resp.doc_id], resp))
+    # Both files hold each doc_id at most once (the loader checks), so every
+    # key document is scored exactly once when none is missing.
+    covered = {resp.doc_id for resp in responses}
+    missing = next((doc_id for doc_id in keys if doc_id not in covered), None)
+    if missing is not None:
+        raise ValueError(f"key document {missing!r} missing from the response file")
     b3, ceaf = score.BcubedStats(), score.CeafStats()
     per_doc = {}
     for key, resp in pairs:

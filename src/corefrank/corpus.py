@@ -49,7 +49,7 @@ class CorpusError(ValueError):
             parts.append(f"line {line}")
         if doc_id is not None:
             parts.append(f"doc {doc_id!r}")
-        prefix = " ".join(parts)
+        prefix = ": ".join(parts)
         super().__init__(f"{prefix}: {message}" if prefix else message)
         self.doc_id = doc_id
         self.line = line
@@ -406,19 +406,27 @@ def doc_from_record(rec: dict) -> Document:
     return doc
 
 
-def _load_records(path: str, parse: Callable[[object], object]) -> list:
-    """Parse every non-blank line of a JSONL file; a failure names its line."""
+def _load_records(path: str, parse: Callable[[object], Document | PartitionDoc]) -> list:
+    """Parse every non-blank line of a JSONL file; a failure names its line.
+    Each doc_id may appear on one line only."""
     out = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(parse(json.loads(line)))
+                rec = parse(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"parse error: {exc.msg}", line=lineno) from exc
             except CorpusError as exc:
                 raise CorpusError(str(exc), line=lineno) from exc
+            if rec.doc_id in first_line:
+                raise CorpusError(
+                    f"doc_id already used on line {first_line[rec.doc_id]}", doc_id=rec.doc_id, line=lineno
+                )
+            first_line[rec.doc_id] = lineno
+            out.append(rec)
     return out
 
 
@@ -449,7 +457,11 @@ def partition_doc_from_record(rec: dict) -> PartitionDoc:
     if not isinstance(rec, dict):
         raise CorpusError("malformed partition record: expected a JSON object")
     try:
-        spans = {m["id"]: (m["sent"], m["start"], m["end"]) for m in rec["mentions"]}
+        spans = {}
+        for m in rec["mentions"]:
+            if m["id"] in spans:
+                raise CorpusError(f"mention id {m['id']!r} is used twice", doc_id=rec.get("doc_id"))
+            spans[m["id"]] = (m["sent"], m["start"], m["end"])
         pd = PartitionDoc(rec["doc_id"], spans, Partition(rec["clusters"]))
     except (KeyError, TypeError) as exc:
         raise CorpusError(f"malformed partition record: {exc}", doc_id=rec.get("doc_id")) from exc

@@ -182,9 +182,6 @@ def alias(doc: Document, j: Mention, k: Mention) -> bool:
 # Conventional pair features
 # --------------------------------------------------------------------------
 
-BLOCK1_NAMES = ("PRONOUN_1", "SUBJECT_1", "NESTED_1")
-BLOCK2_NAMES = ("NUMBER_2", "GENDER_2", "PRONOUN_2", "NESTED_2", "SEMCLASS_2", "ANIMACY_2", "PRO_TYPE_2")
-
 def _yn(flag: bool) -> str:
     return "Y" if flag else "N"
 

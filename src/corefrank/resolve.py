@@ -65,24 +65,18 @@ class ResolverSpec:
         else:
             if self.anaph == PIPELINE and self.anaph_model is None:
                 raise ValueError("pipeline ranking requires an anaphoricity model")
+            if self.anaph == PIPELINE and self.anaph_model.loss != learn.LOG:
+                raise ValueError("the anaphoricity model must be log-loss to provide probabilities")
             if self.anaph == JOINT and self.anaph_model is not None:
                 raise ValueError("joint ranking must not carry an anaphoricity model")
             if self.anaph not in (PIPELINE, JOINT):
                 raise ValueError(f"unknown anaphoricity mode {self.anaph!r}")
 
 
-def _strength(model: learn.LinearModel, vec: dict[str, float]) -> tuple[float, float]:
-    """A classifier's confidence and its threshold: it links strictly above it."""
-    if model.loss == learn.LOG:
-        return learn.predict_prob(model, vec), 0.5
-    return learn.score(model, vec), 0.0
-
-
 def _gated_out(doc: Document, spec: ResolverSpec, k: int) -> bool:
     if spec.anaph != PIPELINE:
         return False
-    prob, threshold = _strength(spec.anaph_model, feats.anaphoricity(doc, k))
-    return not prob > threshold
+    return not learn.predict_prob(spec.anaph_model, feats.anaphoricity(doc, k)) > 0.5
 
 
 def decide_link(doc: Document, spec: ResolverSpec, k: int, clusters: list[list[int]]) -> int | None:

@@ -21,7 +21,7 @@ paired t-test used for significance reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -29,8 +29,6 @@ from scipy.optimize import linear_sum_assignment
 from . import pronouns
 from . import resolve as resolve_mod
 from .corpus import Document, Partition, PartitionDoc, pronoun_entry
-
-TWINLESS = "TWINLESS"
 
 BCUBED = "bcubed"
 CEAF = "ceaf"
@@ -255,7 +253,6 @@ class AnaphReport:
     recall: float
     precision: float
     f1: float
-    counts: dict = field(default_factory=dict)
 
 
 def anaphoricity_metrics(predicted: list[bool], gold: list[bool]) -> AnaphReport:
@@ -269,13 +266,7 @@ def anaphoricity_metrics(predicted: list[bool], gold: list[bool]) -> AnaphReport
     accuracy = (tp + tn) / len(gold) if gold else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     precision = tp / (tp + fp) if tp + fp else 0.0
-    return AnaphReport(
-        accuracy,
-        recall,
-        precision,
-        _f1(recall, precision),
-        {"tp": tp, "fp": fp, "fn": fn, "tn": tn},
-    )
+    return AnaphReport(accuracy, recall, precision, _f1(recall, precision))
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """One instance generator and one link-decision branch per model family,
 written out separately, as oracles for the generic
-``corefrank.instances._generate`` and ``corefrank.resolve.decide_link``.
+``corefrank.instances._generate`` and ``corefrank.resolve.decide_link``,
+and the resolution-class diagnostic with its own left-to-right loop, as
+the oracle for ``corefrank.score.resolution_class_score``.
 
 Tests compare the generic code with them instance by instance (vectors
-in order, labels, groups, metadata) and decision by decision.
+in order, labels, groups, metadata), decision by decision and class
+score by class score.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from corefrank.resolve import (
     PIPELINE,
     ResolverSpec,
 )
+from corefrank.score import BcubedStats, ClassScore, resolution_class_of
 
 
 def _group_id(doc: Document, k: int) -> str:
@@ -260,3 +264,47 @@ def resolve(doc: Document, spec: ResolverSpec) -> Partition:
         else:
             clusters[choice].append(k)
     return Partition(clusters)
+
+
+def _oracle_choice(doc: Document, k: int, clusters: list[list[int]], label: str) -> int | None:
+    if not doc.anaphoric(k):
+        return None
+    antecedents = [j for j in doc.gold_partition.cluster_of(k) if j < k]
+    outside = [j for j in antecedents if resolution_class_of(doc, j) != label]
+    pool = outside or antecedents
+    j = max(pool)
+    return next(ci for ci, cluster in enumerate(clusters) if j in cluster)
+
+
+def resolution_class_score(docs: list[Document], spec: ResolverSpec, label: str) -> ClassScore:
+    """Class members resolved by the model, every other mention by the
+    gold oracle; B3 averaged over the class members."""
+    stats = BcubedStats()
+    n_members = 0
+    for doc in docs:
+        members = [k for k in range(len(doc.mentions)) if resolution_class_of(doc, k) == label]
+        n_members += len(members)
+        if not members:
+            continue
+        clusters: list[list[int]] = []
+        for k in range(len(doc.mentions)):
+            if resolution_class_of(doc, k) == label:
+                choice = decide_link(doc, spec, k, clusters)
+            else:
+                choice = _oracle_choice(doc, k, clusters, label)
+            if choice is None:
+                clusters.append([k])
+            else:
+                clusters[choice].append(k)
+        response = Partition(clusters)
+        key_cluster = doc.gold_partition.mention_to_cluster()
+        resp_cluster = response.mention_to_cluster()
+        for k in members:
+            kc = key_cluster[k]
+            rc = resp_cluster[k]
+            inter = sum(1 for member in rc if member in kc)
+            stats.recall_sum += inter / len(kc)
+            stats.precision_sum += inter / len(rc)
+            stats.universe += 1
+    report = stats.report()
+    return ClassScore(label, report.recall, report.precision, report.f1, n_members, n_members == 0)

@@ -117,6 +117,45 @@ class TestScoreAndValidateInputs:
         assert record["error"] == "CorpusError"
         assert record["detail"].startswith("line 2: doc 'fig1': invariant 'mtype is a known value'")
 
+    def test_validate_rejects_repeated_doc_id(self, fig1, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        line = json.dumps(corpus.doc_to_record(fig1)) + "\n"
+        path.write_text(line + "\n" + line)
+        assert run(["validate", path]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "CorpusError", "detail": "line 3: doc 'fig1': doc_id already used on line 1"}
+
+    def test_score_rejects_repeated_response_doc_id(self, tmp_path, capsys):
+        d = make_doc("d", [("Acme", "PROPER", {}), ("Acme", "PROPER", {})], [[0, 1]])
+        e = make_doc("e", [("Bolt", "PROPER", {}), ("it", "PRONOUN", {})], [[0], [1]])
+        key = tmp_path / "key.jsonl"
+        corpus.save_corpus([d, e], str(key))
+        response = tmp_path / "response.jsonl"
+        corpus.save_partition_file([corpus.key_partition_doc(d)] * 2, str(response))
+        assert run(["score", key, response]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "CorpusError", "detail": "line 2: doc 'd': doc_id already used on line 1"}
+
+    def test_score_rejects_key_document_missing_from_response(self, tmp_path, capsys):
+        d = make_doc("d", [("Acme", "PROPER", {}), ("Acme", "PROPER", {})], [[0, 1]])
+        e = make_doc("e", [("Bolt", "PROPER", {}), ("it", "PRONOUN", {})], [[0], [1]])
+        key = tmp_path / "key.jsonl"
+        corpus.save_corpus([d, e], str(key))
+        response = tmp_path / "response.jsonl"
+        corpus.save_partition_file([corpus.key_partition_doc(d)], str(response))
+        assert run(["score", key, response]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "ValueError", "detail": "key document 'e' missing from the response file"}
+
+    def test_repeated_mention_id_in_partition_record_rejected(self, tmp_path, capsys):
+        rec = {"doc_id": "d", "mentions": [{"id": 0, "sent": 0, "start": 0, "end": 1},
+                                           {"id": 0, "sent": 0, "start": 1, "end": 2}], "clusters": [[0]]}
+        response = tmp_path / "response.jsonl"
+        response.write_text(json.dumps(rec) + "\n")
+        assert run(["score", response, response]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "CorpusError", "detail": "line 1: doc 'd': mention id 0 is used twice"}
+
 
 class TestTrainResolveScore:
     def test_full_pipeline(self, small_corpus_path, tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from corefrank import cli, feats, learn, resolve
+from corefrank import cli, feats, learn, resolve, score
 from corefrank.corpus import Document, Mention, Partition
 from corefrank.instances import CLASSIFY, RANK
 from corefrank.synth import synth_corpus
@@ -143,6 +143,13 @@ class TestMentionRankingResolver:
             resolve.ResolverSpec(
                 resolve.MENTION_RANKING, feats.CONVENTIONAL, hinge_model({}, kind=RANK),
                 anaph=resolve.PIPELINE,
+            )
+
+    def test_pipeline_requires_log_loss_anaph_model(self):
+        with pytest.raises(ValueError, match="log-loss"):
+            resolve.ResolverSpec(
+                resolve.MENTION_RANKING, feats.CONVENTIONAL, hinge_model({}, kind=RANK),
+                anaph=resolve.PIPELINE, anaph_model=hinge_model({}),
             )
 
     def test_joint_forbids_anaph_model(self):
@@ -362,6 +369,65 @@ class TestFamiliesMatchReference:
         for linking in (resolve.CLOSEST_FIRST, resolve.BEST_FIRST):
             em = resolve.ResolverSpec(resolve.ENTITY_MENTION, feats.CONVENTIONAL, always_yes, linking=linking)
             assert clusters[resolve.decide_link(fig1, em, 4, clusters)] == [3]
+
+
+def _all_classes_doc():
+    """One mention of each of the 13 resolution classes; synth corpora
+    realize only six of them."""
+    specs = [
+        ("Barack Obama", "PROPER", {}),   # 0 proper-na
+        ("Obama", "PROPER", {}),          # 1 proper-p
+        ("Obama", "PROPER", {}),          # 2 proper-e
+        ("IBM", "PROPER", {}),            # 3 proper-na
+        ("Big Blue", "PROPER", {}),       # 4 proper-n
+        ("the red car", "COMMON", {}),    # 5 common-na
+        ("the car", "COMMON", {}),        # 6 common-p
+        ("the car", "COMMON", {}),        # 7 common-e
+        ("the airline", "COMMON", {}),    # 8 common-na
+        ("the carrier", "COMMON", {}),    # 9 common-n
+        ("I", "PRONOUN", {}),             # 10 pronoun-na
+        ("me", "PRONOUN", {}),            # 11 1+2
+        ("he", "PRONOUN", {}),            # 12 G3
+        ("it", "PRONOUN", {}),            # 13 U3
+        ("who", "PRONOUN", {}),           # 14 oa
+    ]
+    return make_doc("classes", specs, [[0, 1, 2, 12, 14], [3, 4, 13], [5, 6, 7], [8, 9], [10, 11]])
+
+
+class TestClassScoreMatchesReference:
+    """resolution_class_score against the per-mention loop it replaced."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        docs = [*synth_corpus(6, seed=23, pronoun_rate=0.4, alias_rate=0.4), _all_classes_doc()]
+        vocab = {}
+        for doc in docs:
+            for ts in (ref.gen_mention_ranking(doc, feats.COMBINED, joint=True),
+                       ref.gen_cluster_ranking(doc, feats.COMBINED, joint=True)):
+                vocab.update(dict.fromkeys(ts.feature_vocab))
+        anaph_vocab = sorted({n for doc in docs for k in range(len(doc.mentions))
+                              for n in feats.anaphoricity(doc, k)})
+        return docs, sorted(vocab), anaph_vocab
+
+    def test_every_class_realized(self, setting):
+        docs, _, _ = setting
+        realized = {score.resolution_class_of(doc, k) for doc in docs for k in range(len(doc.mentions))}
+        assert realized == set(score.RESOLUTION_CLASSES)
+
+    @pytest.mark.parametrize("family, loss, linking, anaph", SPECS[1:])
+    def test_same_class_scores(self, fig1, setting, family, loss, linking, anaph):
+        docs, vocab, anaph_vocab = setting
+        rng = random.Random(f"classes{family}{loss}{linking}{anaph}")
+        kind = RANK if family in resolve.RANKING_FAMILIES else CLASSIFY
+        spec = resolve.ResolverSpec(
+            family, feats.COMBINED, _integer_model(rng, vocab, 12, kind, loss),
+            linking=linking or resolve.CLOSEST_FIRST, anaph=anaph or resolve.JOINT,
+            anaph_model=_integer_model(rng, anaph_vocab, 4, CLASSIFY, learn.LOG)
+            if anaph == resolve.PIPELINE else None,
+        )
+        for label in score.RESOLUTION_CLASSES:
+            expected = ref.resolution_class_score([fig1, *docs], spec, label)
+            assert score.resolution_class_score([fig1, *docs], spec, label) == expected, label
 
 
 class TestClusterDecodeUsesTables:
