@@ -8,10 +8,15 @@ Four regimes over sparse feature vectors:
 * log-loss classification     min  lam/2 |w|^2 + (1/n) sum log(1 + e^(-y*s))
 * log-loss group ranking      min  lam/2 |w|^2 + (1/G) sum -log softmax
 
-with s = w.x - b and lam = 1/(C*n).  All trainers run seeded averaged
-stochastic (sub)gradient descent with step size 1/(lam*(t+1)); the model
-returned is the epoch-end averaged iterate with the best objective seen,
-so the recorded objective trace is non-increasing by construction.
+with s = w.x - b and lam = 1/(C*n) (or 1/(C*G)).  One trainer, ``_train``,
+runs all four as seeded averaged stochastic (sub)gradient descent with step
+size 1/(lam*(t+1)): an epoch steps once per row for the classifiers (the
+hinge ranker's rows are its difference vectors) and once per group for the
+softmax ranker.  The model returned is the epoch-end averaged iterate with
+the best objective seen, so the recorded objective trace is non-increasing
+by construction.  The per-row and per-group loss coefficients that the steps
+use also give the full-batch gradient (``_gradient``), which the tests check
+against finite differences of the objective the trainer records.
 
 The bias is handled as a dedicated always-on feature (so a classifier
 learns it like any weight, and it cancels in ranking comparisons); it is
@@ -24,8 +29,8 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -43,7 +48,6 @@ class TrainerConfig:
     c: float = 1.0
     epochs: int = 50
     seed: int = 0
-    fit_bias: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0):
@@ -99,47 +103,50 @@ def predict_prob(model: LinearModel, vec: dict[str, float]) -> float:
 
 
 class _Encoded:
-    """A TrainSet flattened to index/value arrays over a frozen vocabulary."""
+    """A TrainSet flattened to sparse rows over a frozen vocabulary.
 
-    def __init__(self, ts: TrainSet, with_bias: bool):
+    Classifier rows end in the always-on bias column.  The softmax ranker
+    has no bias column (a bias is inert in a softmax); its rows are grouped
+    instead, each group with the position of its first rank-2 instance.
+    """
+
+    def __init__(self, ts: TrainSet, softmax: bool):
+        self.softmax = softmax
         self.names = list(ts.feature_vocab)
-        if with_bias:
+        if not softmax:
             self.names.append(_BIAS)
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.dim = len(self.names)
-        self.rows: list[tuple[np.ndarray, np.ndarray]] = []
+        index = {name: i for i, name in enumerate(self.names)}
         self.labels = np.array([inst.label for inst in ts.instances], dtype=np.float64)
-        bias_idx = self.index.get(_BIAS)
+        self.rows: list[tuple[np.ndarray, np.ndarray]] = []
         for inst in ts.instances:
-            idx = [self.index[name] for name in inst.vec]
+            idx = [index[name] for name in inst.vec]
             val = [float(v) for v in inst.vec.values()]
-            if bias_idx is not None:
-                idx.append(bias_idx)
+            if not softmax:
+                idx.append(index[_BIAS])
                 val.append(1.0)
-            self.rows.append(
-                (np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64))
-            )
-        self.groups: list[np.ndarray] = []
-        by_group: dict[str, list[int]] = {}
-        for i, inst in enumerate(ts.instances):
-            by_group.setdefault(inst.group, []).append(i)
-        self.group_keys = list(by_group)
-        self.groups = [np.array(rows, dtype=np.int64) for rows in by_group.values()]
-
-    def matrix(self) -> sparse.csr_matrix:
-        indptr = [0]
-        indices: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-        for idx, val in self.rows:
-            indices.append(idx)
-            data.append(val)
-            indptr.append(indptr[-1] + len(idx))
-        if not self.rows:
-            return sparse.csr_matrix((0, self.dim))
-        return sparse.csr_matrix(
-            (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
-            shape=(len(self.rows), self.dim),
+            self.rows.append((np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64)))
+        self.matrix = sparse.csr_matrix(
+            (
+                np.concatenate([val for _, val in self.rows]),
+                np.concatenate([idx for idx, _ in self.rows]),
+                np.cumsum([0] + [len(idx) for idx, _ in self.rows]),
+            ),
+            shape=(len(self.rows), len(self.names)),
         )
+        self.groups: list[np.ndarray] = []
+        self.correct: list[int] = []
+        if softmax:
+            by_group: dict[str, list[int]] = {}
+            for i, inst in enumerate(ts.instances):
+                by_group.setdefault(inst.group, []).append(i)
+            for key, rows in by_group.items():
+                rank2 = [local for local, i in enumerate(rows) if ts.instances[i].label == 2.0]
+                if not rank2:
+                    raise ValueError(f"ranking group {key!r} has no rank-2 instance")
+                self.groups.append(np.array(rows, dtype=np.int64))
+                self.correct.append(rank2[0])
+        # one SGD step per unit, and the data term averages over units
+        self.units = len(self.groups) if softmax else len(self.rows)
 
 
 # --------------------------------------------------------------------------
@@ -186,57 +193,66 @@ class _AveragedSGD:
         self.steps += 1
 
     def averaged(self) -> np.ndarray:
-        if self.steps == 0:
-            return np.zeros_like(self.v)
         return (self.acc + self.v * (self.q - self.stamp)) / self.steps
 
 
 # --------------------------------------------------------------------------
-# Objectives (shared by the trainers and the gradient tests)
+# Objective and gradient (shared by the trainer and the gradient tests)
 # --------------------------------------------------------------------------
 
 
-def _lambda(c: float, n_examples: int) -> float:
-    return 1.0 / (c * max(n_examples, 1))
-
-
-def _classifier_objective_arrays(
-    matrix: sparse.csr_matrix, labels: np.ndarray, w: np.ndarray, lam: float, loss: str
-) -> float:
-    margins = labels * (matrix @ w)
+def _classifier_coef(loss: str, y: float, s: float) -> float:
+    """Minus the derivative of one row's loss with respect to its score s,
+    for the label y = +-1: an SGD step adds eta*coef times the row."""
     if loss == HINGE:
-        per = np.maximum(0.0, 1.0 - margins)
+        return y if y * s < 1.0 else 0.0
+    return _sigmoid(-y * s) * y
+
+
+def _ranker_coefs(s: np.ndarray, correct: int) -> np.ndarray:
+    """Minus the derivative of a group's -log softmax with respect to its
+    candidates' scores s: the one-hot target minus the softmax."""
+    p = np.exp(s - s.max())
+    p /= p.sum()
+    p[correct] -= 1.0
+    return -p
+
+
+def _objective(enc: _Encoded, w: np.ndarray, lam: float, loss: str) -> float:
+    scores = enc.matrix @ w
+    if enc.softmax:
+        total = 0.0
+        for rows, correct in zip(enc.groups, enc.correct):
+            s = scores[rows]
+            total += float(np.logaddexp.reduce(s)) - float(s[correct])
+        data = total / len(enc.groups)
     else:
-        per = np.logaddexp(0.0, -margins)
-    return 0.5 * lam * float(w @ w) + float(per.mean())
+        margins = enc.labels * scores
+        per = np.maximum(0.0, 1.0 - margins) if loss == HINGE else np.logaddexp(0.0, -margins)
+        data = float(per.mean())
+    return 0.5 * lam * float(w @ w) + data
 
 
-def _ranker_objective_arrays(
-    matrix: sparse.csr_matrix,
-    labels: np.ndarray,
-    groups: Sequence[np.ndarray],
-    w: np.ndarray,
-    lam: float,
-) -> float:
-    scores = matrix @ w
-    total = 0.0
-    for rows in groups:
-        s = scores[rows]
-        correct = np.flatnonzero(labels[rows] == 2.0)
-        lse = float(np.logaddexp.reduce(s))
-        total += lse - float(s[correct[0]])
-    return 0.5 * lam * float(w @ w) + total / len(groups)
+def _gradient(enc: _Encoded, w: np.ndarray, lam: float, loss: str) -> np.ndarray:
+    """The (sub)gradient of _objective, from the coefficients the SGD steps use."""
+    scores = enc.matrix @ w
+    if enc.softmax:
+        coefs = np.zeros(len(enc.rows))
+        for rows, correct in zip(enc.groups, enc.correct):
+            coefs[rows] = _ranker_coefs(scores[rows], correct)
+    else:
+        coefs = np.array([_classifier_coef(loss, y, s) for y, s in zip(enc.labels, scores)])
+    return lam * w - enc.matrix.T @ coefs / enc.units
 
 
-def _vec_to_arrays(enc: _Encoded, weights: dict[str, float], bias: float) -> np.ndarray:
-    w = np.zeros(enc.dim)
-    for name, value in weights.items():
-        i = enc.index.get(name)
-        if i is not None:
-            w[i] = value
-    if _BIAS in enc.index:
-        w[enc.index[_BIAS]] = -bias
-    return w
+def _objective_at(
+    enc: _Encoded, weights: dict[str, float], cfg: TrainerConfig, loss: str
+) -> tuple[float, dict[str, float]]:
+    """_objective and _gradient at the named weights, the gradient by name."""
+    w = np.array([weights.get(name, 0.0) for name in enc.names])
+    lam = 1.0 / (cfg.c * enc.units)
+    grad = _gradient(enc, w, lam, loss)
+    return _objective(enc, w, lam, loss), dict(zip(enc.names, grad.tolist()))
 
 
 def log_classifier_objective(
@@ -247,42 +263,15 @@ def log_classifier_objective(
     Exactly the function train_log_classifier minimizes; the bias enters
     as a regularized always-on feature with weight -bias.
     """
-    enc = _Encoded(ts, with_bias=cfg.fit_bias)
-    lam = _lambda(cfg.c, len(enc.rows))
-    w = _vec_to_arrays(enc, weights, bias)
-    matrix = enc.matrix()
-    obj = _classifier_objective_arrays(matrix, enc.labels, w, lam, LOG)
-    margins = enc.labels * (matrix @ w)
-    coef = np.array([-_sigmoid(-m) for m in margins]) * enc.labels / len(enc.rows)
-    grad = lam * w + matrix.T @ coef
-    grad_w = {name: float(grad[i]) for name, i in enc.index.items() if name != _BIAS}
-    grad_b = -float(grad[enc.index[_BIAS]]) if cfg.fit_bias else 0.0
-    return obj, grad_w, grad_b
+    obj, grad = _objective_at(_Encoded(ts, softmax=False), {**weights, _BIAS: -bias}, cfg, LOG)
+    return obj, grad, -grad.pop(_BIAS)
 
 
 def log_ranker_objective(
     ts: TrainSet, weights: dict[str, float], cfg: TrainerConfig
 ) -> tuple[float, dict[str, float]]:
     """Group-conditional softmax negative log-likelihood with its gradient."""
-    enc = _Encoded(ts, with_bias=False)
-    _require_rank2(enc)
-    lam = _lambda(cfg.c, len(enc.groups))
-    w = _vec_to_arrays(enc, weights, 0.0)
-    matrix = enc.matrix()
-    scores = matrix @ w
-    grad = lam * w
-    for rows in enc.groups:
-        s = scores[rows]
-        correct = rows[np.flatnonzero(enc.labels[rows] == 2.0)[0]]
-        p = np.exp(s - s.max())
-        p /= p.sum()
-        for local, row in enumerate(rows):
-            idx, val = enc.rows[row]
-            target = p[local] - (1.0 if row == correct else 0.0)
-            grad[idx] += target * val / len(enc.groups)
-    obj = _ranker_objective_arrays(matrix, enc.labels, enc.groups, w, lam)
-    grad_w = {name: float(grad[i]) for name, i in enc.index.items()}
-    return obj, grad_w
+    return _objective_at(_Encoded(ts, softmax=True), weights, cfg, LOG)
 
 
 # --------------------------------------------------------------------------
@@ -290,97 +279,64 @@ def log_ranker_objective(
 # --------------------------------------------------------------------------
 
 
-def _check_trainable(ts: TrainSet, kind: str) -> None:
-    if not ts.instances:
-        raise ValueError("cannot train on an empty TrainSet")
+def _train(ts: TrainSet, cfg: TrainerConfig, meta: dict | None, kind: str, loss: str) -> LinearModel:
+    """Seeded averaged SGD over one epoch of units per pass: a step per row
+    for a classifier (the hinge ranker is a classifier over pairwise
+    differences), a step per group for the softmax ranker.  Returns the
+    epoch-end average with the best objective seen."""
     if ts.kind != kind:
         raise ValueError(f"expected a {kind} TrainSet, got {ts.kind}")
-
-
-def _require_rank2(enc: _Encoded) -> None:
-    for key, rows in zip(enc.group_keys, enc.groups):
-        if not np.any(enc.labels[rows] == 2.0):
-            raise ValueError(f"ranking group {key!r} has no rank-2 instance")
-
-
-def _finalize(
-    enc: _Encoded,
-    w: np.ndarray,
-    kind: str,
-    loss: str,
-    cfg: TrainerConfig,
-    objectives: list[float],
-    meta: dict | None,
-) -> LinearModel:
-    weights = {}
-    bias = 0.0
-    for name, i in enc.index.items():
-        value = float(w[i])
-        if name == _BIAS:
-            bias = -value
-        elif value != 0.0:
-            weights[name] = value
-    model_meta = {
-        "c": cfg.c,
-        "epochs": cfg.epochs,
-        "seed": cfg.seed,
-        "epoch_objectives": objectives,
-    }
-    if meta:
-        model_meta.update(meta)
-    # frozen training vocabulary; unknown test features score zero
-    model_meta.setdefault(
-        "feature_vocab", sorted(name for name in enc.names if name != _BIAS)
-    )
-    return LinearModel(weights, bias, kind, loss, model_meta)
-
-
-def _run_classifier_sgd(
-    enc: _Encoded, cfg: TrainerConfig, loss: str
-) -> tuple[np.ndarray, list[float]]:
-    n = len(enc.rows)
-    lam = _lambda(cfg.c, n)
-    sgd = _AveragedSGD(enc.dim, lam)
+    softmax = kind == RANK and loss == LOG
+    rows_ts = pairwise_difference_set(ts) if kind == RANK and loss == HINGE else ts
+    if not rows_ts.instances:
+        raise ValueError("cannot train on an empty TrainSet")
+    enc = _Encoded(rows_ts, softmax)
+    lam = 1.0 / (cfg.c * enc.units)
+    sgd = _AveragedSGD(len(enc.names), lam)
     rng = np.random.default_rng(cfg.seed)
-    matrix = enc.matrix()
     best_w: np.ndarray | None = None
     best_obj = math.inf
     trace: list[float] = []
     for _ in range(cfg.epochs):
-        for i in rng.permutation(n):
-            idx, val = enc.rows[i]
-            y = enc.labels[i]
-            s = sgd.dot(idx, val)
-            eta = sgd.begin_step()
-            if loss == HINGE:
-                if y * s < 1.0:
-                    sgd.add(idx, eta * y * val)
+        for u in rng.permutation(enc.units):
+            if softmax:
+                group = enc.groups[u]
+                s = np.array([sgd.dot(*enc.rows[r]) for r in group])
+                eta = sgd.begin_step()
+                for r, coef in zip(group, _ranker_coefs(s, enc.correct[u])):
+                    if coef != 0.0:
+                        idx, val = enc.rows[r]
+                        sgd.add(idx, eta * coef * val)
             else:
-                coef = _sigmoid(-y * s) * y
-                sgd.add(idx, eta * coef * val)
+                idx, val = enc.rows[u]
+                coef = _classifier_coef(loss, enc.labels[u], sgd.dot(idx, val))
+                eta = sgd.begin_step()
+                # a log-loss step settles the lazy averages even at coef 0,
+                # which the rounding of later steps depends on
+                if coef != 0.0 or loss == LOG:
+                    sgd.add(idx, eta * coef * val)
             sgd.end_step()
         w_avg = sgd.averaged()
-        obj = _classifier_objective_arrays(matrix, enc.labels, w_avg, lam, loss)
+        obj = _objective(enc, w_avg, lam, loss)
         if obj <= best_obj:
             best_obj = obj
             best_w = w_avg
         trace.append(best_obj)
     assert best_w is not None
-    return best_w, trace
+    weights = dict(zip(enc.names, best_w.tolist()))
+    bias = 0.0 if softmax else -weights.pop(_BIAS)
+    model_meta = {"c": cfg.c, "epochs": cfg.epochs, "seed": cfg.seed, "epoch_objectives": trace, **(meta or {})}
+    # frozen training vocabulary; unknown test features score zero
+    model_meta.setdefault("feature_vocab", sorted(ts.feature_vocab))
+    return LinearModel({n: v for n, v in weights.items() if v != 0.0}, bias, kind, loss, model_meta)
 
 
 def train_hinge_classifier(ts: TrainSet, cfg: TrainerConfig, meta: dict | None = None) -> LinearModel:
-    _check_trainable(ts, CLASSIFY)
-    enc = _Encoded(ts, with_bias=cfg.fit_bias)
-    w, trace = _run_classifier_sgd(enc, cfg, HINGE)
-    return _finalize(enc, w, CLASSIFY, HINGE, cfg, trace, meta)
+    return _train(ts, cfg, meta, CLASSIFY, HINGE)
 
 
 def train_log_classifier(ts: TrainSet, cfg: TrainerConfig, meta: dict | None = None) -> LinearModel:
-    _check_trainable(ts, CLASSIFY)
-    enc = _Encoded(ts, with_bias=cfg.fit_bias)
-    w, trace = _run_classifier_sgd(enc, cfg, LOG)
-    return _finalize(enc, w, CLASSIFY, LOG, cfg, trace, meta)
+    return _train(ts, cfg, meta, CLASSIFY, LOG)
 
 
 def pairwise_difference_set(ts: TrainSet) -> TrainSet:
@@ -413,50 +369,13 @@ def pairwise_difference_set(ts: TrainSet) -> TrainSet:
 
 def train_hinge_ranker(ts: TrainSet, cfg: TrainerConfig, meta: dict | None = None) -> LinearModel:
     """Hinge ranking via a classifier over pairwise difference vectors."""
-    _check_trainable(ts, RANK)
-    model = train_hinge_classifier(pairwise_difference_set(ts), cfg, meta)
-    # the vocabulary is the ranking set's, not the difference set's
-    model.meta["feature_vocab"] = sorted(ts.feature_vocab)
-    return replace(model, kind=RANK)
+    return _train(ts, cfg, meta, RANK, HINGE)
 
 
 def train_log_ranker(ts: TrainSet, cfg: TrainerConfig, meta: dict | None = None) -> LinearModel:
     """Group-conditional softmax ranker: the rank-2 instance per group is
     the correct outcome.  The bias is inert in a softmax and stays zero."""
-    _check_trainable(ts, RANK)
-    enc = _Encoded(ts, with_bias=False)
-    _require_rank2(enc)
-    n_groups = len(enc.groups)
-    lam = _lambda(cfg.c, n_groups)
-    sgd = _AveragedSGD(enc.dim, lam)
-    rng = np.random.default_rng(cfg.seed)
-    matrix = enc.matrix()
-    best_w: np.ndarray | None = None
-    best_obj = math.inf
-    trace: list[float] = []
-    for _ in range(cfg.epochs):
-        for g in rng.permutation(n_groups):
-            rows = enc.groups[g]
-            s = np.array([sgd.dot(*enc.rows[r]) for r in rows])
-            eta = sgd.begin_step()
-            s -= s.max()
-            p = np.exp(s)
-            p /= p.sum()
-            correct = np.flatnonzero(enc.labels[rows] == 2.0)[0]
-            for local, r in enumerate(rows):
-                idx, val = enc.rows[r]
-                coef = p[local] - (1.0 if local == correct else 0.0)
-                if coef != 0.0:
-                    sgd.add(idx, -eta * coef * val)
-            sgd.end_step()
-        w_avg = sgd.averaged()
-        obj = _ranker_objective_arrays(matrix, enc.labels, enc.groups, w_avg, lam)
-        if obj <= best_obj:
-            best_obj = obj
-            best_w = w_avg
-        trace.append(best_obj)
-    assert best_w is not None
-    return _finalize(enc, best_w, RANK, LOG, cfg, trace, meta)
+    return _train(ts, cfg, meta, RANK, LOG)
 
 
 # --------------------------------------------------------------------------

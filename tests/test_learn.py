@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from corefrank import learn
+import reference_learn
+from corefrank import cli, corpus, instances, learn, synth
+from corefrank.cli import ExperimentConfig
 from corefrank.instances import CLASSIFY, RANK, Instance, TrainSet
 
 
@@ -47,20 +50,6 @@ class TestHingeClassifier:
         model = learn.train_hinge_classifier(ts, learn.TrainerConfig(seed=1))
         assert learn.score(model, {"x": 2.0}) > 0
         assert learn.score(model, {"x": -2.0}) < 0
-
-    def test_symmetric_data_bias_free(self):
-        rng = np.random.default_rng(0)
-        points = []
-        for _ in range(50):
-            x = rng.normal(size=4)
-            x[0] += 3.0
-            points.append((dense(x), 1.0))
-            points.append((dense(-x), -1.0))
-        ts = cls_set(points)
-        model = learn.train_hinge_classifier(
-            ts, learn.TrainerConfig(seed=2, fit_bias=False)
-        )
-        assert abs(model.bias) < 1e-6
 
     def test_200_random_separable_zero_errors(self):
         rng = np.random.default_rng(7)
@@ -410,3 +399,90 @@ class TestDeterminismAndFiles:
         assert loaded.kind == model.kind and loaded.loss == model.loss
         learn.save_model(loaded, str(tmp_path / "model2.json"))
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
+
+
+def record_bytes(model):
+    return json.dumps(learn.model_to_record(model), sort_keys=True).encode()
+
+
+TRAINERS = ["train_hinge_classifier", "train_log_classifier", "train_hinge_ranker", "train_log_ranker"]
+
+
+def random_set(rng, kind, scale):
+    """Sparse rows over 8 shared names; ranking groups of 1-5 candidates
+    with ranks 1-2 (at least one 2) or 0-3 for the difference set."""
+    def vec():
+        return {f"f{i}": float(scale * rng.normal()) for i in range(8) if rng.random() < 0.5}
+
+    if kind == CLASSIFY:
+        return cls_set([(vec(), 1.0 if rng.random() < 0.5 else -1.0) for _ in range(int(rng.integers(1, 40)))])
+    groups = []
+    for _ in range(int(rng.integers(1, 15))):
+        size = int(rng.integers(1, 6))
+        labels = [2.0] + [float(rng.integers(0, 3)) for _ in range(size - 1)]
+        rng.shuffle(labels)
+        groups.append([(vec(), label) for label in labels])
+    return rank_set(groups)
+
+
+class TestMatchesReference:
+    """The single trainer against the four separate ones it replaced,
+    byte for byte on the model record (weights, bias, epoch objectives)."""
+
+    @pytest.mark.parametrize("name", TRAINERS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sets(self, name, seed):
+        rng = np.random.default_rng(seed)
+        kind = RANK if name.endswith("ranker") else CLASSIFY
+        # scale 100 drives log-loss margins past exp underflow (zero coefficients)
+        ts = random_set(rng, kind, scale=(1.0, 100.0)[seed % 2])
+        cfg = learn.TrainerConfig(c=float(rng.choice([0.1, 1.0, 1e4])), epochs=int(rng.integers(1, 12)), seed=seed)
+        if name == "train_hinge_ranker" and not learn.pairwise_difference_set(ts).instances:
+            with pytest.raises(ValueError, match="empty"):
+                learn.train_hinge_ranker(ts, cfg)
+            return
+        meta = {"family": "x"} if seed % 3 == 0 else None
+        ours = getattr(learn, name)(ts, cfg, meta)
+        assert record_bytes(ours) == record_bytes(getattr(reference_learn, name)(ts, cfg, meta))
+
+    @pytest.mark.parametrize("family", ["mp", "mr", "cr"])
+    @pytest.mark.parametrize("loss", ["hinge", "log"])
+    def test_synth_train_sets(self, family, loss):
+        cfg = ExperimentConfig(family=family, loss=loss, epochs=4, seed=3)
+        ts = cli._gen_train_set(corpus.unseen_train(synth.synth_corpus(8, seed=5), 0.1, 3), cfg)
+        name = f"train_{loss}_{'ranker' if ts.kind == RANK else 'classifier'}"
+        tcfg = cfg.trainer_config()
+        ours = getattr(learn, name)(ts, tcfg, {"family": family})
+        assert record_bytes(ours) == record_bytes(getattr(reference_learn, name)(ts, tcfg, {"family": family}))
+
+    def test_anaphoricity_set(self):
+        docs = synth.synth_corpus(8, seed=6)
+        ts = instances.merge([instances.gen_anaphoricity(doc) for doc in docs])
+        cfg = learn.TrainerConfig(epochs=5, seed=2)
+        assert record_bytes(learn.train_log_classifier(ts, cfg)) == record_bytes(
+            reference_learn.train_log_classifier(ts, cfg)
+        )
+
+
+class TestHingeSubgradient:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_finite_differences_off_the_kink(self, seed):
+        """The subgradient the hinge steps use, against central differences
+        at random points where no margin is within 1e-3 of the kink."""
+        rng = np.random.default_rng(seed)
+        ts = random_set(rng, CLASSIFY, scale=1.0)
+        enc = learn._Encoded(ts, softmax=False)
+        lam = 1.0 / (2.0 * enc.units)
+        while True:
+            w = rng.normal(size=len(enc.names))
+            if np.all(np.abs(1.0 - enc.labels * (enc.matrix @ w)) > 1e-3):
+                break
+        grad = learn._gradient(enc, w, lam, learn.HINGE)
+        h = 1e-7
+        for i in range(len(w)):
+            step = np.zeros_like(w)
+            step[i] = h
+            up = learn._objective(enc, w + step, lam, learn.HINGE)
+            down = learn._objective(enc, w - step, lam, learn.HINGE)
+            numeric = (up - down) / (2 * h)
+            assert abs(numeric - grad[i]) <= 1e-6 * max(1.0, abs(numeric))
