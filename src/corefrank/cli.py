@@ -51,6 +51,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
+        # checked here, since the trainer and the unseen marking see them
+        # only for some families and feature sets
+        self.trainer_config()
+        corpus_mod.check_rate("unseen_rate", self.unseen_rate)
 
     def trainer_config(self) -> learn.TrainerConfig:
         return learn.TrainerConfig(c=self.c, epochs=self.epochs, seed=self.seed)

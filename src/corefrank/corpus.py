@@ -232,6 +232,12 @@ class Document:
                     f"invariant 'mention ids are 0..n-1 in document order' violated at mention {m.id}",
                     doc_id=did,
                 )
+            if key == order_key:
+                raise CorpusError(
+                    f"invariant 'mention spans are distinct' violated at mention {m.id}: "
+                    f"span {key} is also mention {m.id - 1}",
+                    doc_id=did,
+                )
             order_key = key
             if not 0 <= m.sent < len(self.sentences):
                 raise CorpusError(f"invariant 'span within sentence' violated at mention {m.id}", doc_id=did)
@@ -282,10 +288,18 @@ class PartitionDoc:
     def validate(self) -> None:
         if not isinstance(self.doc_id, str):
             raise CorpusError(f"invariant 'doc_id is a string' violated: {self.doc_id!r}")
+        by_span: dict[tuple[int, int, int], int] = {}
         for mid, span in self.spans.items():
             if not all(type(v) is int for v in (mid, *span)):
                 raise CorpusError(
                     f"invariant 'mention id and span are integers' violated at mention {mid!r}",
+                    doc_id=self.doc_id,
+                )
+            other = by_span.setdefault(span, mid)
+            if other != mid:
+                raise CorpusError(
+                    f"invariant 'mention spans are distinct' violated at mention {mid}: "
+                    f"span {span} is also mention {other}",
                     doc_id=self.doc_id,
                 )
         self.partition.validate(self.spans.keys(), doc_id=self.doc_id)
@@ -327,6 +341,12 @@ def _with_unseen(docs: Sequence[Document], is_unseen: Callable[[str], bool]) -> 
     ]
 
 
+def check_rate(name: str, rate: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``rate`` lies in [0, 1]."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {rate}")
+
+
 def unseen_train(docs: Sequence[Document], rate: float, seed: int) -> list[Document]:
     """Mark roughly ``rate`` of the common-noun mentions as out-of-vocabulary.
 
@@ -335,8 +355,7 @@ def unseen_train(docs: Sequence[Document], rate: float, seed: int) -> list[Docum
     sharing that string (of any type) is marked too.  Deterministic for a
     fixed seed.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
+    check_rate("rate", rate)
     commons = [doc.text(m) for doc in docs for m in doc.mentions if m.mtype == "COMMON"]
     common_count: dict[str, int] = {}
     for text in commons:

@@ -54,6 +54,8 @@ class TrainerConfig:
             raise ValueError(f"C must be a positive finite number, got {self.c}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -219,8 +221,10 @@ def _ranker_coefs(s: np.ndarray, correct: int) -> np.ndarray:
 
 
 def _objective(enc: _Encoded, w: np.ndarray, lam: float, loss: str) -> float:
+    """The regularized objective at w, as recorded in epoch_objectives."""
     scores = enc.matrix @ w
     if enc.softmax:
+        # summed group by group in Python floats; np.sum would round differently
         total = 0.0
         for rows, correct in zip(enc.groups, enc.correct):
             s = scores[rows]
@@ -280,10 +284,10 @@ def log_ranker_objective(
 
 
 def _train(ts: TrainSet, cfg: TrainerConfig, meta: dict | None, kind: str, loss: str) -> LinearModel:
-    """Seeded averaged SGD over one epoch of units per pass: a step per row
-    for a classifier (the hinge ranker is a classifier over pairwise
-    differences), a step per group for the softmax ranker.  Returns the
-    epoch-end average with the best objective seen."""
+    """Seeded averaged SGD.  Each epoch steps once per row for a classifier
+    (the hinge ranker is a classifier over its pairwise difference vectors)
+    and once per group for the softmax ranker.  The model is the epoch-end
+    average with the best objective seen."""
     if ts.kind != kind:
         raise ValueError(f"expected a {kind} TrainSet, got {ts.kind}")
     softmax = kind == RANK and loss == LOG

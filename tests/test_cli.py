@@ -156,6 +156,52 @@ class TestScoreAndValidateInputs:
         record = json.loads(capsys.readouterr().err)
         assert record == {"error": "CorpusError", "detail": "line 1: doc 'd': mention id 0 is used twice"}
 
+    def test_validate_rejects_two_mentions_on_one_span(self, fig1, tmp_path, capsys):
+        rec = corpus.doc_to_record(make_doc("d", [("Acme", "PROPER", {}), ("Acme", "PROPER", {})]))
+        rec["mentions"][1]["sent"] = 0
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(corpus.doc_to_record(fig1)) + "\n" + json.dumps(rec) + "\n")
+        assert run(["validate", path]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {
+            "error": "CorpusError",
+            "detail": "line 2: doc 'd': invariant 'mention spans are distinct' violated at mention 1: "
+                      "span (0, 0, 1) is also mention 0",
+        }
+
+    def test_score_rejects_two_partition_mentions_on_one_span(self, tmp_path, capsys):
+        rec = {"doc_id": "d", "mentions": [{"id": 0, "sent": 0, "start": 0, "end": 1},
+                                           {"id": 1, "sent": 0, "start": 0, "end": 1}], "clusters": [[0], [1]]}
+        response = tmp_path / "response.jsonl"
+        response.write_text(json.dumps(rec) + "\n")
+        assert run(["score", response, response]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {
+            "error": "CorpusError",
+            "detail": "line 1: doc 'd': invariant 'mention spans are distinct' violated at mention 1: "
+                      "span (0, 0, 1) is also mention 0",
+        }
+
+
+class TestExperimentFlagsChecked:
+    """--c, --epochs, --seed and --unseen-rate are checked for every command
+    and family, not only where a trainer or the unseen marking reads them."""
+
+    @pytest.mark.parametrize("family", sorted(cli.FAMILY_CODES))
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    @pytest.mark.parametrize("flag, value, detail", [
+        ("--unseen-rate", "5", "unseen_rate must be in [0, 1], got 5.0"),
+        ("--c", "-1", "C must be a positive finite number, got -1.0"),
+        ("--epochs", "0", "epochs must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ], ids=["unseen-rate", "c", "epochs", "seed"])
+    def test_bad_value_rejected(self, small_corpus_path, tmp_path, capsys, family, command, flag, value, detail):
+        out = tmp_path / "out.json"
+        argv = [command, small_corpus_path, "--family", family, "--features", "conventional", flag, value]
+        assert run([*argv, "--out", out]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "detail": detail}
+        assert not out.exists()
+
 
 class TestTrainResolveScore:
     def test_full_pipeline(self, small_corpus_path, tmp_path, capsys):
@@ -175,22 +221,28 @@ class TestTrainResolveScore:
         assert len(report["per_doc"]) == 30
 
     def test_resolve_independent_of_hash_seed(self, tmp_path):
+        """The train bundle, the resolve output and the ablate report are
+        byte-identical under two string-hash seeds."""
         docs = [*synth.synth_corpus(12, seed=21), *synth.synth_corpus(1, seed=8, mentions_low=30, mentions_high=30)]
         corpus_path = tmp_path / "c.jsonl"
         corpus.save_corpus(docs, str(corpus_path))
-        bundle_path = tmp_path / "m.json"
-        assert run(["train", corpus_path, "--epochs", 5, "--out", bundle_path]) == 0
         src = Path(cli.__file__).resolve().parents[1]
         outputs = []
         for hash_seed in ("1", "2"):
-            out = tmp_path / f"r{hash_seed}.jsonl"
+            bundle, out, ablate = (tmp_path / f"{name}{hash_seed}" for name in ("m.json", "r.jsonl", "a.json"))
+            commands = [["train", corpus_path, "--epochs", 5, "--out", bundle],
+                        ["resolve", corpus_path, "--model", bundle, "--out", out],
+                        ["ablate", corpus_path, "--epochs", 2, "--folds", 3, "--out", ablate]]
+            # one process per hash seed runs all three commands
+            script = "import json, sys\nfrom corefrank import cli\nfor argv in json.loads(sys.argv[1]):\n" \
+                     "    assert cli.main(argv) == 0"
             subprocess.run(
-                [sys.executable, "-m", "corefrank.cli", "resolve", corpus_path, "--model", bundle_path, "--out", out],
+                [sys.executable, "-c", script, json.dumps([[str(a) for a in argv] for argv in commands])],
                 env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src)),
                 check=True,
                 capture_output=True,
             )
-            outputs.append(out.read_bytes())
+            outputs.append([path.read_bytes() for path in (bundle, out, ablate)])
         assert outputs[0] == outputs[1]
 
     def test_memory_flat_across_repeated_resolves(self):
