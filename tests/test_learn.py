@@ -409,8 +409,9 @@ TRAINERS = ["train_hinge_classifier", "train_log_classifier", "train_hinge_ranke
 
 
 def random_set(rng, kind, scale):
-    """Sparse rows over 8 shared names; ranking groups of 1-5 candidates
-    with ranks 1-2 (at least one 2) or 0-3 for the difference set."""
+    """Sparse rows over 8 shared names: 1-39 rows labeled +-1, or 1-14
+    ranking groups of 1-5 candidates with ranks 0-2, at least one of them 2
+    (the softmax ranker's correct candidate is the first 2)."""
     def vec():
         return {f"f{i}": float(scale * rng.normal()) for i in range(8) if rng.random() < 0.5}
 
