@@ -295,6 +295,12 @@ class PartitionDoc:
                     f"invariant 'mention id and span are integers' violated at mention {mid!r}",
                     doc_id=self.doc_id,
                 )
+            sent, start, end = span
+            if sent < 0 or not 0 <= start < end:
+                raise CorpusError(
+                    f"invariant 'span is a non-empty token range' violated at mention {mid}: {span}",
+                    doc_id=self.doc_id,
+                )
             other = by_span.setdefault(span, mid)
             if other != mid:
                 raise CorpusError(

@@ -7,8 +7,8 @@ entries with value 1.
 A coreference feature set is two choices: whether it carries the
 conventional rows (``fs != LEXICAL``) and whether it carries the lexical
 core (``fs != CONVENTIONAL``); the combined set carries both.
-``pair_features``, ``cluster_features``, ``null_option`` and
-``cluster_scores`` take the set as a parameter and read it that way.
+``pair_features``, ``cluster_features``, ``null_option``, ``pair_scores``
+and ``cluster_scores`` take the set as a parameter and read it that way.
 
 Feature-name namespaces (collision-free by construction):
   ``NAME=VALUE``            conventional binarized features
@@ -20,11 +20,13 @@ Feature-name namespaces (collision-free by construction):
   ``NULL-x``                new-cluster features for joint ranking
   ``NONE-/MOST-FALSE-/MOST-TRUE-/ALL-`` cluster-level predicate prefixes
 
-Training and ``train --dump-instances`` use these name vectors.  Decoding
-does not build them for candidate clusters: ``cluster_scores`` scores each
-one from its ``(row, value)`` counts against the model's weight table
-(``cluster_weights``), bit-identical to ``learn.score`` of
-``cluster_features``.
+Training, ``train --dump-instances`` and the test oracles use these name
+vectors.  Decoding builds none of them: ``pair_scores`` and
+``cluster_scores`` look up the ``(row, value)`` items of a pair or the
+predicate counts of a cluster in the model's compiled table
+(``model_table``), bit-identical to ``learn.score`` of ``pair_features``,
+``cluster_features`` and ``null_option``.  Only the lexical core's names
+are still built, and looked up by name.
 """
 
 from __future__ import annotations
@@ -198,6 +200,10 @@ def _agree(a: str, b: str, unknown: str = "UNKNOWN") -> str:
 
 def _binarize(values: dict[str, str]) -> dict[str, float]:
     return {f"{name}={value}": 1.0 for name, value in values.items()}
+
+
+def block1_values(m: Mention) -> dict[str, str]:
+    return {"PRONOUN_1": _yn(m.mtype == "PRONOUN"), "SUBJECT_1": _yn(m.subject), "NESTED_1": _yn(m.nested)}
 
 
 def block2_values(doc: Document, m: Mention) -> dict[str, str]:
@@ -565,7 +571,7 @@ def _null_name(doc: Document, k: int) -> str:
 
 
 # --------------------------------------------------------------------------
-# Decode-time cluster scoring from (row, value) weight tables
+# Decode-time scoring from the model's (row, value) table
 # --------------------------------------------------------------------------
 
 _CONCAT_RANK = {row: i for i, row in enumerate(_CONCAT_ROWS)}
@@ -577,21 +583,25 @@ _Weights4 = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True, slots=True)
-class ClusterWeights:
-    """A model's cluster-predicate weights keyed by ``(row, value)``.
+class ModelTable:
+    """A model's weights keyed by ``(row, value)`` instead of by name.
 
-    ``conventional`` and ``lexical`` list the closed-alphabet entries of
-    each set's predicate rows in ``RELATIONAL_ALPHABETS`` order, only those
-    with a weight; ``concat`` maps a realized concatenation ``(row, value)``
-    to its sort key (row rank, value) and its weights.
+    ``pair`` holds the plain weight of every ``ROW=VALUE`` name that is not
+    a cluster predicate.  ``conventional`` and ``lexical`` list the
+    closed-alphabet cluster-predicate entries of each set's predicate rows
+    in ``RELATIONAL_ALPHABETS`` order, only those with a weight; ``concat``
+    maps a realized concatenation ``(row, value)`` to its sort key (row
+    rank, value) and its weights.
     """
 
+    pair: dict[tuple[str, str], float]
     conventional: tuple[tuple[tuple[str, str], _Weights4], ...]
     lexical: tuple[tuple[tuple[str, str], _Weights4], ...]
     concat: dict[tuple[str, str], tuple[tuple[int, str], _Weights4]]
 
 
-def _compile_cluster_weights(weights: dict[str, float]) -> ClusterWeights:
+def _compile_model_table(weights: dict[str, float]) -> ModelTable:
+    pair: dict[tuple[str, str], float] = {}
     table: dict[tuple[str, str], list[float]] = {}
     for name, w in weights.items():
         for i, prefix in enumerate(_PREDICATE_PREFIXES):
@@ -601,12 +611,17 @@ def _compile_cluster_weights(weights: dict[str, float]) -> ClusterWeights:
                 if sep and row in _CLUSTER_ROWS:
                     table.setdefault((row, value), [0.0, 0.0, 0.0, 0.0])[i] = w
                 break
+        else:
+            row, sep, value = name.partition("=")
+            if sep:
+                pair[row, value] = w
 
     def closed(rows: Iterable[str]) -> tuple[tuple[tuple[str, str], _Weights4], ...]:
         keys = ((row, value) for row in rows for value in RELATIONAL_ALPHABETS[row])
         return tuple((key, tuple(table[key])) for key in keys if key in table)
 
-    return ClusterWeights(
+    return ModelTable(
+        pair=pair,
         conventional=closed(RELATIONAL_ALPHABETS),
         lexical=closed(_LEXICAL_PREDICATE_ROWS),
         concat={
@@ -617,17 +632,90 @@ def _compile_cluster_weights(weights: dict[str, float]) -> ClusterWeights:
     )
 
 
-def cluster_weights(model: LinearModel) -> ClusterWeights:
+def model_table(model: LinearModel) -> ModelTable:
     """The ``(row, value)`` table of ``model``, compiled on first use.
 
     Stored on the model itself, as ``mention_table`` is on the document, so
     it lives exactly as long as the model.  Weights are never changed in
     place once a model is built.
     """
-    table = model.__dict__.get("_cluster_weights")
+    table = model.__dict__.get("_model_table")
     if table is None:
-        table = model.__dict__["_cluster_weights"] = _compile_cluster_weights(model.weights)
+        table = model.__dict__["_model_table"] = _compile_model_table(model.weights)
     return table
+
+
+def _block2_terms(doc: Document, model: LinearModel, k: int, fs: str) -> tuple[list[float], float, float]:
+    """Mention k's block-2 weights in ``block2_values`` order (none without
+    the conventional rows), their sum from 0.0, and the new-cluster score
+    before the bias: that sum plus the ``NULL-`` weight of the lexical
+    core, as ``learn.score`` adds up ``null_option``."""
+    pair = model_table(model).pair
+    block2 = [pair.get(item, 0.0) for item in block2_values(doc, doc.mentions[k]).items()] if fs != LEXICAL else []
+    total = 0.0
+    for w in block2:
+        total += w
+    null = total
+    if fs != CONVENTIONAL:
+        w = model.weights.get(_null_name(doc, k))
+        if w is not None:
+            null += w
+    return block2, total, null
+
+
+def _add_core(total: float, weights: dict[str, float], doc: Document, j: int, k: int) -> float:
+    for name, value in _lexical_core(doc, j, k).items():
+        w = weights.get(name)
+        if w is not None:
+            total += w * value
+    return total
+
+
+def pair_scores(doc: Document, model: LinearModel, k: int, fs: str) -> tuple[list[float], float]:
+    """The scores of mention k against each preceding mention j = 0..k-1
+    and against the new-cluster option.
+
+    Each equals ``learn.score`` of ``pair_features`` (or ``null_option``)
+    bit for bit: the terms are added in the vector's insertion order and the
+    bias is subtracted last.  With the conventional rows that is block 1,
+    block 2, the 29 relational rows, then the lexical core; without them,
+    the core, then ALIAS and DISTANCE unless a mention is replaced.  No
+    feature name is built except the lexical core's.  Block 2 is looked up
+    once, and the sum of blocks 1 and 2 is kept per block-1 value.
+    """
+    _check_feature_set(fs)
+    pair = model_table(model).pair
+    weights = model.weights
+    conventional = fs != LEXICAL
+    lexical = fs != CONVENTIONAL
+    block2, _, null = _block2_terms(doc, model, k, fs)
+    mentions = doc.mentions
+    unseen_k = mentions[k].unseen
+    prefixes: dict[tuple[str, bool, bool], float] = {}
+    scores = []
+    for j in range(k):
+        mj = mentions[j]
+        if conventional:
+            key = (mj.mtype, mj.subject, mj.nested)
+            total = prefixes.get(key)
+            if total is None:
+                total = 0.0
+                for item in block1_values(mj).items():
+                    total += pair.get(item, 0.0)
+                for w in block2:
+                    total += w
+                prefixes[key] = total
+            for item in relational_values(doc, j, k).items():
+                total += pair.get(item, 0.0)
+            if lexical:
+                total = _add_core(total, weights, doc, j, k)
+        else:
+            total = _add_core(0.0, weights, doc, j, k)
+            if not mj.unseen and not unseen_k:
+                for item in _lexical_values(doc, j, k).items():
+                    total += pair.get(item, 0.0)
+        scores.append(total - model.bias)
+    return scores, null - model.bias
 
 
 def cluster_scores(
@@ -645,21 +733,11 @@ def cluster_scores(
     lexical core's; block 2 is summed once and starts every candidate.
     """
     _check_feature_set(fs)
-    table = cluster_weights(model)
+    table = model_table(model)
     weights = model.weights
     conventional = fs != LEXICAL
     lexical = fs != CONVENTIONAL
-    block2 = 0.0
-    if conventional:
-        for name in block2_features(doc, doc.mentions[k]):
-            w = weights.get(name)
-            if w is not None:
-                block2 += w
-    null = block2
-    if lexical:
-        w = weights.get(_null_name(doc, k))
-        if w is not None:
-            null += w
+    _, block2, null = _block2_terms(doc, model, k, fs)
 
     closed = table.conventional if conventional else table.lexical
     concat = table.concat
@@ -726,11 +804,7 @@ def pair_features(doc: Document, j: int, k: int, fs: str) -> dict[str, float]:
         if not mj.unseen and not mk.unseen:
             out.update(_binarize(_lexical_values(doc, j, k)))
         return out
-    values: dict[str, str] = {
-        "PRONOUN_1": _yn(mj.mtype == "PRONOUN"),
-        "SUBJECT_1": _yn(mj.subject),
-        "NESTED_1": _yn(mj.nested),
-    }
+    values = block1_values(mj)
     values.update(block2_values(doc, mk))
     values.update(relational_values(doc, j, k))
     out = _binarize(values)

@@ -19,6 +19,10 @@ per-mention problem has two cases (y_k = 0 forces every link off; y_k = 1
 lets every link take its cheaper value, subject to at least one being on),
 so the exact solve is a single O(n^2) pass.  It is certified against
 exhaustive enumeration and cross-checked against a MILP solver.
+
+The pair costs come from ``feats.pair_scores``, which reads each pair's
+score from the coreference model's ``(row, value)`` table, so building a
+program formats no pair feature names.
 """
 
 from __future__ import annotations
@@ -67,8 +71,9 @@ def build_program(
 ) -> IlpProgram:
     """Assemble assignment costs from the two probabilistic models.
 
-    Pair probabilities come from the mention-pair features of ``fs``
-    applied to every ordered pair; anaphoricity probabilities come from
+    Pair probabilities come from the mention-pair scores of ``fs`` for
+    every ordered pair (``feats.pair_scores``, read from the coreference
+    model's ``(row, value)`` table); anaphoricity probabilities come from
     the anaphoricity feature set.
     """
     for name, model in (("coreference", coref_model), ("anaphoricity", anaph_model)):
@@ -78,8 +83,9 @@ def build_program(
     coref_cost = {}
     coref_cost_bar = {}
     for k in range(n):
-        for j in range(k):
-            p = learn.predict_prob(coref_model, feats.pair_features(doc, j, k, fs))
+        scores, _ = feats.pair_scores(doc, coref_model, k, fs)
+        for j, s in enumerate(scores):
+            p = learn.probability(s)
             coref_cost[(j, k)] = _cost(p)
             coref_cost_bar[(j, k)] = _cost(1.0 - p)
     anaph_cost = {}
@@ -184,31 +190,3 @@ def resolve_ilp(
 ) -> Partition:
     program = build_program(doc, coref_model, anaph_model, fs)
     return decode_partition(solve_exact(program, max_vars), doc)
-
-
-def write_lp(p: IlpProgram, path: str) -> None:
-    """Dump the program in LP text format for cross-checking with external
-    solvers."""
-    lines = ["minimize", "obj:"]
-    terms = []
-    constant = 0.0
-    for (j, k), cost in sorted(p.coref_cost.items()):
-        bar = p.coref_cost_bar[(j, k)]
-        constant += bar
-        terms.append(f"{cost - bar:+.12g} x_{j}_{k}")
-    for k in range(p.n):
-        constant += p.anaph_cost_bar[k]
-        terms.append(f"{p.anaph_cost[k] - p.anaph_cost_bar[k]:+.12g} y_{k}")
-    lines.append("  " + " ".join(terms) + f" {constant:+.12g}")
-    lines.append("subject to")
-    for j, k in sorted(p.coref_cost):
-        lines.append(f"  link_{j}_{k}: x_{j}_{k} - y_{k} <= 0")
-    for k in range(1, p.n):
-        xs = " ".join(f"- x_{j}_{k}" for j in range(k))
-        lines.append(f"  anaph_{k}: y_{k} {xs} <= 0")
-    lines.append("binary")
-    names = [f"x_{j}_{k}" for j, k in sorted(p.coref_cost)] + [f"y_{k}" for k in range(p.n)]
-    lines.append("  " + " ".join(names))
-    lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

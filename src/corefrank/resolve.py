@@ -7,10 +7,10 @@ The per-mention choice is a function: ``decide_link`` for ``resolve``;
 for the class diagnostic, ``decide_link`` on class members and a gold
 oracle elsewhere.
 
-The cluster families score their candidate clusters and new-cluster
-option from the model's ``(row, value)`` weight table
-(``feats.cluster_scores``); the mention families score name vectors.
-Training builds name vectors for every family.
+Every family scores its candidates and new-cluster option from the
+model's ``(row, value)`` table: the mention families with
+``feats.pair_scores``, the cluster families with ``feats.cluster_scores``.
+Only training builds name vectors.
 """
 
 from __future__ import annotations
@@ -105,22 +105,20 @@ def decide_link(doc: Document, spec: ResolverSpec, k: int, clusters: list[list[i
     ranker = spec.family in RANKING_FAMILIES
     if not clusters or (ranker and _gated_out(doc, spec, k)):
         return None
-    # (cluster index, last mention, strength) per candidate.  Clusters are
-    # scored in one pass from the model's (row, value) tables; mentions from
-    # their name vectors, each dropped as soon as it is scored.
-    classify_log = not ranker and model.loss == learn.LOG
-    null_score = None
+    # (cluster index, last mention, strength) per candidate, all scored in
+    # one pass from the model's (row, value) table; mentions nearest first.
     if spec.family in CLUSTER_FAMILIES:
         scores, null_score = feats.cluster_scores(doc, model, clusters, k, spec.fs)
-        if classify_log:
-            scores = [learn.probability(s) for s in scores]
-        candidates = [(ci, cluster[-1], s) for ci, (cluster, s) in enumerate(zip(clusters, scores))]
+        keys = [(ci, cluster[-1]) for ci, cluster in enumerate(clusters)]
     else:
+        scores, null_score = feats.pair_scores(doc, model, k, spec.fs)
+        scores.reverse()
         owner = {j: ci for ci, cluster in enumerate(clusters) for j in cluster}
-        measure = learn.predict_prob if classify_log else learn.score
-        candidates = (
-            (owner[j], j, measure(model, feats.pair_features(doc, j, k, spec.fs))) for j in reversed(range(k))
-        )
+        keys = [(owner[j], j) for j in reversed(range(k))]
+    classify_log = not ranker and model.loss == learn.LOG
+    if classify_log:
+        scores = [learn.probability(s) for s in scores]
+    candidates = [(ci, last, s) for (ci, last), s in zip(keys, scores)]
 
     if not ranker:
         # A classifier links strictly above its threshold.
@@ -131,16 +129,12 @@ def decide_link(doc: Document, spec: ResolverSpec, k: int, clusters: list[list[i
             positives = [p for p in positives if p[2] == best]
         return max(positives, key=lambda p: p[1])[0] if positives else None
 
-    scored = list(candidates)
-    best = max(s for _, _, s in scored)
-    tied = [(ci, last) for ci, last, s in scored if s == best]
+    best = max(s for _, _, s in candidates)
+    tied = [(ci, last) for ci, last, s in candidates if s == best]
     ci = max(tied, key=lambda t: doc.token_offset(doc.mentions[t[1]]))[0]
-    if spec.anaph == JOINT:
-        if null_score is None:
-            null_score = learn.score(model, feats.null_option(doc, k, spec.fs))
-        # An exact tie against the new-cluster option resolves to the link.
-        if null_score > best:
-            return None
+    # An exact tie against the new-cluster option resolves to the link.
+    if spec.anaph == JOINT and null_score > best:
+        return None
     return ci
 
 

@@ -1,17 +1,18 @@
 """One instance generator and one link-decision branch per model family,
 written out separately, as oracles for the generic
 ``corefrank.instances._generate`` and ``corefrank.resolve.decide_link``,
-and the resolution-class diagnostic with its own left-to-right loop, as
-the oracle for ``corefrank.score.resolution_class_score``.
+the resolution-class diagnostic with its own left-to-right loop, as the
+oracle for ``corefrank.score.resolution_class_score``, and the ILP costs
+from pair name vectors, as the oracle for ``corefrank.ilp.build_program``.
 
 Tests compare the generic code with them instance by instance (vectors
-in order, labels, groups, metadata), decision by decision and class
-score by class score.
+in order, labels, groups, metadata), decision by decision, class score
+by class score and cost by cost.
 """
 
 from __future__ import annotations
 
-from corefrank import feats, learn
+from corefrank import feats, ilp, learn
 from corefrank.corpus import Document, Partition
 from corefrank.instances import CLASSIFY, NULL_CANDIDATE, RANK, Instance, TrainSet
 from corefrank.resolve import (
@@ -308,3 +309,25 @@ def resolution_class_score(docs: list[Document], spec: ResolverSpec, label: str)
             stats.universe += 1
     report = stats.report()
     return ClassScore(label, report.recall, report.precision, report.f1, n_members, n_members == 0)
+
+
+def build_program(
+    doc: Document, coref_model: learn.LinearModel, anaph_model: learn.LinearModel, fs: str
+) -> ilp.IlpProgram:
+    """The ILP costs with every pair probability taken from the pair's name
+    vector through ``learn.predict_prob``."""
+    n = len(doc.mentions)
+    coref_cost = {}
+    coref_cost_bar = {}
+    for k in range(n):
+        for j in range(k):
+            p = learn.predict_prob(coref_model, feats.pair_features(doc, j, k, fs))
+            coref_cost[(j, k)] = ilp._cost(p)
+            coref_cost_bar[(j, k)] = ilp._cost(1.0 - p)
+    anaph_cost = {}
+    anaph_cost_bar = {}
+    for k in range(n):
+        p = learn.predict_prob(anaph_model, feats.anaphoricity(doc, k))
+        anaph_cost[k] = ilp._cost(p)
+        anaph_cost_bar[k] = ilp._cost(1.0 - p)
+    return ilp.IlpProgram(doc.doc_id, n, coref_cost, coref_cost_bar, anaph_cost, anaph_cost_bar)

@@ -182,6 +182,25 @@ class TestScoreAndValidateInputs:
                       "span (0, 0, 1) is also mention 0",
         }
 
+    @pytest.mark.parametrize("field, value, span", [
+        ("start", -1, (1, -1, 1)), ("end", -1, (1, 0, -1)), ("end", 0, (1, 0, 0)), ("start", 2, (1, 2, 1)),
+        ("sent", -1, (-1, 0, 1)),
+    ], ids=["start-negative", "end-negative", "empty", "reversed", "sent-negative"])
+    def test_score_rejects_response_span_out_of_range(self, tmp_path, capsys, field, value, span):
+        d = make_doc("d", [("Acme", "PROPER", {}), ("Acme", "PROPER", {})], [[0, 1]])
+        key = tmp_path / "key.jsonl"
+        corpus.save_corpus([d], str(key))
+        rec = corpus.partition_doc_to_record(corpus.key_partition_doc(d))
+        rec["mentions"][1][field] = value
+        response = tmp_path / "response.jsonl"
+        response.write_text(json.dumps(rec) + "\n")
+        assert run(["score", key, response]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {
+            "error": "CorpusError",
+            "detail": f"line 1: doc 'd': invariant 'span is a non-empty token range' violated at mention 1: {span}",
+        }
+
 
 class TestExperimentFlagsChecked:
     """--c, --epochs, --seed and --unseen-rate are checked for every command
@@ -221,19 +240,27 @@ class TestTrainResolveScore:
         assert len(report["per_doc"]) == 30
 
     def test_resolve_independent_of_hash_seed(self, tmp_path):
-        """The train bundle, the resolve output and the ablate report are
-        byte-identical under two string-hash seeds."""
+        """The train bundles, the resolve and ilp-resolve outputs and the
+        ablate report are byte-identical under two string-hash seeds: cr
+        and mr decode from string-keyed model tables, and ilp-resolve from
+        an mp one."""
         docs = [*synth.synth_corpus(12, seed=21), *synth.synth_corpus(1, seed=8, mentions_low=30, mentions_high=30)]
         corpus_path = tmp_path / "c.jsonl"
         corpus.save_corpus(docs, str(corpus_path))
         src = Path(cli.__file__).resolve().parents[1]
         outputs = []
+        names = ("m.json", "r.jsonl", "a.json", "mp.json", "ilp.jsonl", "mr.json", "mr.jsonl")
         for hash_seed in ("1", "2"):
-            bundle, out, ablate = (tmp_path / f"{name}{hash_seed}" for name in ("m.json", "r.jsonl", "a.json"))
+            bundle, out, ablate, mp, ilp_out, mr, mr_out = (tmp_path / f"{name}{hash_seed}" for name in names)
             commands = [["train", corpus_path, "--epochs", 5, "--out", bundle],
                         ["resolve", corpus_path, "--model", bundle, "--out", out],
-                        ["ablate", corpus_path, "--epochs", 2, "--folds", 3, "--out", ablate]]
-            # one process per hash seed runs all three commands
+                        ["ablate", corpus_path, "--epochs", 2, "--folds", 3, "--out", ablate],
+                        ["train", corpus_path, "--family", "mp", "--loss", "log", "--features", "conventional",
+                         "--epochs", 5, "--out", mp],
+                        ["ilp-resolve", corpus_path, "--model", mp, "--out", ilp_out],
+                        ["train", corpus_path, "--family", "mr", "--epochs", 5, "--out", mr],
+                        ["resolve", corpus_path, "--model", mr, "--out", mr_out]]
+            # one process per hash seed runs every command
             script = "import json, sys\nfrom corefrank import cli\nfor argv in json.loads(sys.argv[1]):\n" \
                      "    assert cli.main(argv) == 0"
             subprocess.run(
@@ -242,7 +269,7 @@ class TestTrainResolveScore:
                 check=True,
                 capture_output=True,
             )
-            outputs.append([path.read_bytes() for path in (bundle, out, ablate)])
+            outputs.append([path.read_bytes() for path in (bundle, out, ablate, mp, ilp_out, mr, mr_out)])
         assert outputs[0] == outputs[1]
 
     def test_memory_flat_across_repeated_resolves(self):

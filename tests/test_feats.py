@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import reference_feats as ref
 from corefrank import feats, learn
 from corefrank.corpus import Document, Mention, Partition, unseen_test, unseen_train
-from corefrank.instances import RANK
+from corefrank.instances import CLASSIFY, RANK
 from corefrank.synth import synth_corpus
 
 from conftest import make_doc
@@ -533,6 +533,16 @@ def scoring_setting():
     return docs, sorted(names | absent)
 
 
+def _random_weights(names, rng, density):
+    """Weights of mixed magnitude, so that another order of the sum would
+    change its low bits, on a random share of ``names``."""
+    return {
+        name: rng.choice((rng.uniform(-3, 3), rng.uniform(-1e-9, 1e-9), 1e6 * rng.random(), 0.0, -0.0))
+        for name in names
+        if rng.random() < density
+    }
+
+
 class TestClusterScoresOracle:
     """Decode-time scores from the (row, value) tables against learn.score
     of the name vectors, compared with == so the order of the sum counts."""
@@ -550,25 +560,78 @@ class TestClusterScoresOracle:
             clusters.setdefault(owner, []).append(j)
         clusters = list(clusters.values())
         fs = data.draw(st.sampled_from(feats.FEATURE_SETS))
-        # Weights of mixed magnitude, so that another order of the sum
-        # would change its low bits.
         rng = random.Random(seed)
-        weights = {
-            name: rng.choice((rng.uniform(-3, 3), rng.uniform(-1e-9, 1e-9), 1e6 * rng.random(), 0.0, -0.0))
-            for name in names
-            if rng.random() < density
-        }
-        model = learn.LinearModel(weights, rng.uniform(-2, 2), RANK, learn.HINGE, {})
+        model = learn.LinearModel(_random_weights(names, rng, density), rng.uniform(-2, 2), RANK, learn.HINGE, {})
         scores, null = feats.cluster_scores(doc, model, clusters, k, fs)
         assert scores == [learn.score(model, feats.cluster_features(doc, c, k, fs)) for c in clusters]
         assert null == learn.score(model, feats.null_option(doc, k, fs))
 
     def test_table_lives_on_the_model(self):
-        model = learn.LinearModel({"ALL-DISTANCE=0": 1.5, "NONE-NUMBER'=SINGULAR-SINGULAR": 2.0}, 0.0,
-                                  RANK, learn.HINGE, {})
-        table = feats.cluster_weights(model)
-        assert feats.cluster_weights(model) is table
+        model = learn.LinearModel({"ALL-DISTANCE=0": 1.5, "NONE-NUMBER'=SINGULAR-SINGULAR": 2.0, "DISTANCE=0": -0.5,
+                                   "NUMBER'=PLURAL-SINGULAR": 0.25, "LEX:a|b": 1.0}, 0.0, RANK, learn.HINGE, {})
+        table = feats.model_table(model)
+        assert feats.model_table(model) is table
+        assert table.pair == {("DISTANCE", "0"): -0.5, ("NUMBER'", "PLURAL-SINGULAR"): 0.25}
         assert table.conventional == ((("DISTANCE", "0"), (0.0, 0.0, 0.0, 1.5)),)
         assert table.lexical == table.conventional
         assert table.concat == {("NUMBER'", "SINGULAR-SINGULAR"): ((0, "SINGULAR-SINGULAR"), (2.0, 0.0, 0.0, 0.0))}
-        assert feats.cluster_weights(learn.LinearModel(dict(model.weights), 0.0, RANK, learn.HINGE, {})) is not table
+        assert feats.model_table(learn.LinearModel(dict(model.weights), 0.0, RANK, learn.HINGE, {})) is not table
+
+
+@pytest.fixture(scope="module")
+def pair_scoring_setting(scoring_setting):
+    """scoring_setting's documents, and every name their pair and
+    new-cluster vectors can carry, plus names no vector carries."""
+    docs, _ = scoring_setting
+    names = set()
+    half_unseen = False
+    for doc in docs:
+        for k in range(len(doc.mentions)):
+            for fs in feats.FEATURE_SETS:
+                names |= set(feats.null_option(doc, k, fs))
+                for j in range(k):
+                    names |= set(feats.pair_features(doc, j, k, fs))
+            half_unseen |= any(doc.mentions[j].unseen != doc.mentions[k].unseen for j in range(k))
+    absent = {"HEAD_MATCH=X", "PRONOUN_1=Q", "NUMBER_2=", "LEX:zebra|yak", "NULL-zebra", "PERSON|zebra", "UNSEEN-NONE"}
+    assert absent.isdisjoint(names) and half_unseen
+    kinds = ("PRONOUN_1=", "NUMBER_2=", "ALIAS=", "DISTANCE=", "PRO_TYPE'=", "LEX:", "NULL-", "UNSEEN-")
+    assert all(any(n.startswith(kind) for n in names) for kind in kinds)
+    return docs, sorted(names | absent)
+
+
+class TestPairScoresOracle:
+    """Decode-time pair scores from the (row, value) table against
+    learn.score of the name vectors, compared with == so the order of the
+    sum counts: the mention-pair and mention-ranking models of every set
+    and loss score the same vectors."""
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_name_vectors(self, pair_scoring_setting, data, seed, density):
+        docs, names = pair_scoring_setting
+        doc = data.draw(st.sampled_from(docs))
+        k = data.draw(st.integers(0, len(doc.mentions) - 1))
+        fs = data.draw(st.sampled_from(feats.FEATURE_SETS))
+        kind = data.draw(st.sampled_from((CLASSIFY, RANK)))
+        loss = data.draw(st.sampled_from((learn.HINGE, learn.LOG)))
+        rng = random.Random(seed)
+        model = learn.LinearModel(_random_weights(names, rng, density), rng.uniform(-2, 2), kind, loss, {})
+        scores, null = feats.pair_scores(doc, model, k, fs)
+        vecs = [feats.pair_features(doc, j, k, fs) for j in range(k)]
+        assert scores == [learn.score(model, vec) for vec in vecs]
+        assert null == learn.score(model, feats.null_option(doc, k, fs))
+        if loss == learn.LOG:
+            assert [learn.probability(s) for s in scores] == [learn.predict_prob(model, vec) for vec in vecs]
+
+    @pytest.mark.parametrize("fs", feats.FEATURE_SETS)
+    def test_every_pair_of_every_doc(self, pair_scoring_setting, fs):
+        docs, names = pair_scoring_setting
+        rng = random.Random(7)
+        for density in (0.3, 1.0):
+            model = learn.LinearModel(_random_weights(names, rng, density), rng.uniform(-2, 2), CLASSIFY,
+                                      learn.LOG, {})
+            for doc in docs:
+                for k in range(len(doc.mentions)):
+                    scores, null = feats.pair_scores(doc, model, k, fs)
+                    assert scores == [learn.score(model, feats.pair_features(doc, j, k, fs)) for j in range(k)]
+                    assert null == learn.score(model, feats.null_option(doc, k, fs))

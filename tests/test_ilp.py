@@ -264,15 +264,3 @@ class TestDecodePartition:
             frozenset({0, 1}), frozenset({2, 3})
         }
 
-
-class TestLpDump:
-    def test_writes_program(self, tmp_path):
-        rng = np.random.default_rng(3)
-        p = random_program(rng, 3)
-        path = tmp_path / "program.lp"
-        ilp.write_lp(p, str(path))
-        text = path.read_text()
-        assert "minimize" in text
-        assert "x_0_1 - y_1 <= 0" in text
-        assert "y_2 - x_0_2 - x_1_2 <= 0" in text
-        assert "binary" in text

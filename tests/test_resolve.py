@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from corefrank import cli, feats, learn, resolve, score
+from corefrank import cli, feats, ilp, learn, resolve, score
 from corefrank.corpus import Document, Mention, Partition
 from corefrank.instances import CLASSIFY, RANK
 from corefrank.synth import synth_corpus
@@ -430,37 +430,85 @@ class TestClassScoreMatchesReference:
             assert score.resolution_class_score([fig1, *docs], spec, label) == expected, label
 
 
+@pytest.fixture(scope="module")
+def decode_docs():
+    """Ten train and five test documents, one of them of 30 mentions."""
+    return [*synth_corpus(14, seed=19), *synth_corpus(1, seed=4, mentions_low=30, mentions_high=30)]
+
+
+def refuse_coref_name_vectors(monkeypatch, anaph_model):
+    """Make every name-vector path of the coreference model raise: the
+    pair, cluster and new-cluster extractors, and learn.score and
+    learn.predict_prob of any model but ``anaph_model``."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("name vector built at decode time")
+
+    real_score, real_predict_prob = learn.score, learn.predict_prob
+
+    def anaphoricity_only(real):
+        def guarded(model, vec):
+            if model is not anaph_model:
+                raise AssertionError("coreference model scored from a name vector")
+            return real(model, vec)
+        return guarded
+
+    for name in ("pair_features", "cluster_features", "null_option"):
+        monkeypatch.setattr(feats, name, refuse)
+    monkeypatch.setattr(learn, "score", anaphoricity_only(real_score))
+    monkeypatch.setattr(learn, "predict_prob", anaphoricity_only(real_predict_prob))
+
+
 class TestClusterDecodeUsesTables:
     """cr and em decode without cluster or new-cluster name vectors: the
     coreference model is never scored through learn.score.  The pipeline
     gate still scores its anaphoricity vector, with its own model."""
 
-    @pytest.fixture(scope="class")
-    def docs(self):
-        return [*synth_corpus(14, seed=19), *synth_corpus(1, seed=4, mentions_low=30, mentions_high=30)]
-
     @pytest.mark.parametrize("family", ["cr", "em"])
     @pytest.mark.parametrize("anaph", ["joint", "pipeline"])
     @pytest.mark.parametrize("loss", ["hinge", "log"])
-    def test_no_name_vectors(self, monkeypatch, docs, family, anaph, loss):
+    def test_no_name_vectors(self, monkeypatch, decode_docs, family, anaph, loss):
         cfg = cli.ExperimentConfig(family=family, loss=loss, anaph=anaph, epochs=5)
-        bundle = cli.train_bundle(docs[:10], cfg)
+        bundle = cli.train_bundle(decode_docs[:10], cfg)
         spec = bundle.resolver_spec()
-        test_docs = cli.prepare_test_docs(docs[10:], bundle)
+        test_docs = cli.prepare_test_docs(decode_docs[10:], bundle)
         expected = [ref.resolve(doc, spec) for doc in test_docs]
         assert any(m.unseen for doc in test_docs for m in doc.mentions)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("name vector built at decode time")
-
-        real_score = learn.score
-
-        def anaphoricity_score_only(model, vec):
-            if model is not spec.anaph_model:
-                raise AssertionError("coreference model scored from a name vector")
-            return real_score(model, vec)
-
-        monkeypatch.setattr(feats, "cluster_features", refuse)
-        monkeypatch.setattr(feats, "null_option", refuse)
-        monkeypatch.setattr(learn, "score", anaphoricity_score_only)
+        refuse_coref_name_vectors(monkeypatch, spec.anaph_model)
         assert [resolve.resolve(doc, spec) for doc in test_docs] == expected
+
+
+class TestMentionDecodeUsesTables:
+    """mp, mr and the ILP program decode without pair or new-cluster name
+    vectors, as the cluster families do: the coreference model is never
+    scored through learn.score or learn.predict_prob."""
+
+    @pytest.mark.parametrize("fs", feats.FEATURE_SETS)
+    @pytest.mark.parametrize("family, mode", [
+        ("mp", {"linking": "closest"}), ("mp", {"linking": "best"}),
+        ("mr", {"anaph": "joint"}), ("mr", {"anaph": "pipeline"}),
+    ], ids=["mp-closest", "mp-best", "mr-joint", "mr-pipeline"])
+    @pytest.mark.parametrize("loss", ["hinge", "log"])
+    def test_no_name_vectors(self, monkeypatch, decode_docs, family, mode, loss, fs):
+        cfg = cli.ExperimentConfig(family=family, features=fs, loss=loss, epochs=5, **mode)
+        bundle = cli.train_bundle(decode_docs[:10], cfg)
+        spec = bundle.resolver_spec()
+        test_docs = cli.prepare_test_docs(decode_docs[10:], bundle)
+        expected = [ref.resolve(doc, spec) for doc in test_docs]
+        assert fs == feats.CONVENTIONAL or any(m.unseen for doc in test_docs for m in doc.mentions)
+        refuse_coref_name_vectors(monkeypatch, spec.anaph_model)
+        assert [resolve.resolve(doc, spec) for doc in test_docs] == expected
+
+    @pytest.mark.parametrize("fs", feats.FEATURE_SETS)
+    def test_ilp_costs_equal_name_vector_costs(self, monkeypatch, decode_docs, fs):
+        cfg = cli.ExperimentConfig(family="mp", features=fs, loss="log", epochs=5)
+        bundle = cli.train_bundle(decode_docs[:10], cfg)
+        test_docs = cli.prepare_test_docs(decode_docs[10:], bundle)
+        models = (bundle.coref_model, bundle.anaph_model, fs)
+        expected = [ref.build_program(doc, *models) for doc in test_docs]
+        refuse_coref_name_vectors(monkeypatch, bundle.anaph_model)
+        for doc, want in zip(test_docs, expected):
+            got = ilp.build_program(doc, *models)
+            assert got.coref_cost == want.coref_cost and got.coref_cost_bar == want.coref_cost_bar
+            assert got.anaph_cost == want.anaph_cost and got.anaph_cost_bar == want.anaph_cost_bar
+            assert list(got.coref_cost) == list(want.coref_cost)
