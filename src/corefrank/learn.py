@@ -25,7 +25,6 @@ reported separately on the model, with score(v) = w.v - bias.
 
 from __future__ import annotations
 
-import json
 import math
 import reprlib
 import sys
@@ -110,6 +109,8 @@ class _Encoded:
     Classifier rows end in the always-on bias column.  The softmax ranker
     has no bias column (a bias is inert in a softmax); its rows are grouped
     instead, each group with the position of its first rank-2 instance.
+    Each row is (indices, values, ones), where ``ones`` says that every
+    value is exactly 1.0, so an update may add a scalar (c * 1.0 == c).
     """
 
     def __init__(self, ts: TrainSet, softmax: bool):
@@ -119,23 +120,24 @@ class _Encoded:
             self.names.append(_BIAS)
         index = {name: i for i, name in enumerate(self.names)}
         self.labels = np.array([inst.label for inst in ts.instances], dtype=np.float64)
-        self.rows: list[tuple[np.ndarray, np.ndarray]] = []
+        self.rows: list[tuple[np.ndarray, np.ndarray, bool]] = []
         for inst in ts.instances:
             idx = [index[name] for name in inst.vec]
             val = [float(v) for v in inst.vec.values()]
             if not softmax:
                 idx.append(index[_BIAS])
                 val.append(1.0)
-            self.rows.append((np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64)))
+            ones = all(x == 1.0 for x in val)
+            self.rows.append((np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64), ones))
         self.matrix = sparse.csr_matrix(
             (
-                np.concatenate([val for _, val in self.rows]),
-                np.concatenate([idx for idx, _ in self.rows]),
-                np.cumsum([0] + [len(idx) for idx, _ in self.rows]),
+                np.concatenate([val for _, val, _ in self.rows]),
+                np.concatenate([idx for idx, _, _ in self.rows]),
+                np.cumsum([0] + [len(idx) for idx, _, _ in self.rows]),
             ),
             shape=(len(self.rows), len(self.names)),
         )
-        self.groups: list[np.ndarray] = []
+        self.groups: list[list[int]] = []
         self.correct: list[int] = []
         if softmax:
             by_group: dict[str, list[int]] = {}
@@ -145,57 +147,10 @@ class _Encoded:
                 rank2 = [local for local, i in enumerate(rows) if ts.instances[i].label == 2.0]
                 if not rank2:
                     raise ValueError(f"ranking group {key!r} has no rank-2 instance")
-                self.groups.append(np.array(rows, dtype=np.int64))
+                self.groups.append(rows)
                 self.correct.append(rank2[0])
         # one SGD step per unit, and the data term averages over units
         self.units = len(self.groups) if softmax else len(self.rows)
-
-
-# --------------------------------------------------------------------------
-# Averaged SGD core
-# --------------------------------------------------------------------------
-
-
-class _AveragedSGD:
-    """Pegasos-style iterates w = a*v with lazily settled running averages.
-
-    The invariant is sum-over-steps of w = acc + v*(q - q_stamp) per
-    coordinate, which lets each step touch only its active features.
-    """
-
-    def __init__(self, dim: int, lam: float):
-        self.lam = lam
-        self.v = np.zeros(dim)
-        self.a = 1.0
-        self.q = 0.0
-        self.acc = np.zeros(dim)
-        self.stamp = np.zeros(dim)
-        self.t = 0
-        self.steps = 0
-
-    def dot(self, idx: np.ndarray, val: np.ndarray) -> float:
-        """Score of a sparse row under the current iterate."""
-        return self.a * float(self.v[idx] @ val)
-
-    def begin_step(self) -> float:
-        """Apply the regularization shrink and return the step size."""
-        self.t += 1
-        eta = 1.0 / (self.lam * (self.t + 1))
-        self.a *= self.t / (self.t + 1.0)
-        return eta
-
-    def add(self, idx: np.ndarray, delta: np.ndarray) -> None:
-        """Sparse additive update of the current iterate: w[idx] += delta."""
-        self.acc[idx] += self.v[idx] * (self.q - self.stamp[idx])
-        self.stamp[idx] = self.q
-        self.v[idx] += delta / self.a
-
-    def end_step(self) -> None:
-        self.q += self.a
-        self.steps += 1
-
-    def averaged(self) -> np.ndarray:
-        return (self.acc + self.v * (self.q - self.stamp)) / self.steps
 
 
 # --------------------------------------------------------------------------
@@ -296,37 +251,63 @@ def _train(ts: TrainSet, cfg: TrainerConfig, meta: dict | None, kind: str, loss:
         raise ValueError("cannot train on an empty TrainSet")
     enc = _Encoded(rows_ts, softmax)
     lam = 1.0 / (cfg.c * enc.units)
-    sgd = _AveragedSGD(len(enc.names), lam)
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(
+            f"C = {cfg.c} over {enc.units} training units gives the regularization 1/(C*units) = {lam}, "
+            "not a positive finite number"
+        )
+    # Pegasos-style iterate w = a*v: a step shrinks a and adds to v[idx] only.
+    # Each coordinate's running sum of w is acc + v*(q - stamp), settled
+    # lazily when the coordinate is next updated.
+    dim = len(enc.names)
+    v, acc, stamp = np.zeros(dim), np.zeros(dim), np.zeros(dim)
+    a, q, t = 1.0, 0.0, 0
+    rows, groups, correct = enc.rows, enc.groups, enc.correct
+    labels = enc.labels.tolist()
+    # a log-loss step settles the lazy averages even at coef 0, which the
+    # rounding of later steps depends on
+    step_at_zero = loss == LOG
     rng = np.random.default_rng(cfg.seed)
     best_w: np.ndarray | None = None
     best_obj = math.inf
     trace: list[float] = []
     for _ in range(cfg.epochs):
-        for u in rng.permutation(enc.units):
+        for u in rng.permutation(enc.units).tolist():
             if softmax:
-                group = enc.groups[u]
-                s = np.array([sgd.dot(*enc.rows[r]) for r in group])
-                eta = sgd.begin_step()
-                for r, coef in zip(group, _ranker_coefs(s, enc.correct[u])):
-                    if coef != 0.0:
-                        idx, val = enc.rows[r]
-                        sgd.add(idx, eta * coef * val)
+                group = groups[u]
+                s = np.array([a * float(v[rows[r][0]].dot(rows[r][1])) for r in group])
+                coefs = _ranker_coefs(s, correct[u]).tolist()
             else:
-                idx, val = enc.rows[u]
-                coef = _classifier_coef(loss, enc.labels[u], sgd.dot(idx, val))
-                eta = sgd.begin_step()
-                # a log-loss step settles the lazy averages even at coef 0,
-                # which the rounding of later steps depends on
-                if coef != 0.0 or loss == LOG:
-                    sgd.add(idx, eta * coef * val)
-            sgd.end_step()
-        w_avg = sgd.averaged()
+                idx, val, ones = rows[u]
+                vi = v[idx]
+                coef = _classifier_coef(loss, labels[u], a * float(vi.dot(val)))
+            t += 1
+            eta = 1.0 / (lam * (t + 1))
+            a *= t / (t + 1.0)
+            if softmax:
+                for r, coef in zip(group, coefs):
+                    if coef != 0.0:
+                        idx, val, ones = rows[r]
+                        vi = v[idx]
+                        acc[idx] = acc[idx] + vi * (q - stamp[idx])
+                        stamp[idx] = q
+                        c = eta * coef
+                        v[idx] = vi + (c / a if ones else c * val / a)
+            elif coef != 0.0 or step_at_zero:
+                acc[idx] = acc[idx] + vi * (q - stamp[idx])
+                stamp[idx] = q
+                c = eta * coef
+                v[idx] = vi + (c / a if ones else c * val / a)
+            q += a
+        w_avg = (acc + v * (q - stamp)) / t
         obj = _objective(enc, w_avg, lam, loss)
         if obj <= best_obj:
             best_obj = obj
             best_w = w_avg
         trace.append(best_obj)
-    assert best_w is not None
+    # a finite objective bounds w @ w, so the kept weights are finite too
+    if not math.isfinite(best_obj):
+        raise ValueError(f"training diverged with C = {cfg.c} over {enc.units} training units: no finite objective")
     weights = dict(zip(enc.names, best_w.tolist()))
     bias = 0.0 if softmax else -weights.pop(_BIAS)
     model_meta = {"c": cfg.c, "epochs": cfg.epochs, "seed": cfg.seed, "epoch_objectives": trace, **(meta or {})}
@@ -383,7 +364,7 @@ def train_log_ranker(ts: TrainSet, cfg: TrainerConfig, meta: dict | None = None)
 
 
 # --------------------------------------------------------------------------
-# Model files
+# Model records
 # --------------------------------------------------------------------------
 
 _MODEL_FORMAT = "corefrank-model"
@@ -469,13 +450,3 @@ def model_from_record(rec: dict) -> LinearModel:
         meta={**rec["meta"], "feature_vocab": rec["feature_vocab"]},
     )
 
-
-def save_model(model: LinearModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_record(model), fh, ensure_ascii=False, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path: str) -> LinearModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_record(json.load(fh))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corefrank import cli, corpus, feats, score, synth
@@ -218,6 +219,27 @@ class TestExperimentFlagsChecked:
         out = tmp_path / "out.json"
         argv = [command, small_corpus_path, "--family", family, "--features", "conventional", flag, value]
         assert run([*argv, "--out", out]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "detail": detail}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, c, detail", [
+        ("mp", "1e308", "C = 1e+308 over 95 training units gives the regularization 1/(C*units) = 0.0, "
+                        "not a positive finite number"),
+        ("mp", "1e-320", "C = 1e-320 over 95 training units gives the regularization 1/(C*units) = inf, "
+                         "not a positive finite number"),
+        ("mp", "1e305", "training diverged with C = 1e+305 over 95 training units: no finite objective"),
+        ("cr", "1e305", "training diverged with C = 1e+305 over 95 training units: no finite objective"),
+    ], ids=["lam-zero", "lam-inf", "objective-inf", "objective-nan"])
+    def test_extreme_c_rejected_by_the_trainer(self, tmp_path, capsys, family, c, detail):
+        """A C that passes the positive-finite check, but whose 1/(C*units)
+        is 0 or infinite, or whose steps overflow so that no epoch's
+        objective is finite (inf for mp's anaphoricity model, NaN for cr)."""
+        data, out = tmp_path / "s10.jsonl", tmp_path / "model.json"
+        assert run(["synth", "--docs", 10, "--seed", 1, "--out", data]) == 0
+        capsys.readouterr()
+        argv = ["train", data, "--family", family, "--loss", "log", "--features", "conventional", "--epochs", 2]
+        with np.errstate(over="ignore", invalid="ignore"):  # the diverging steps overflow on the way
+            assert run([*argv, "--c", c, "--out", out]) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "detail": detail}
         assert not out.exists()
 

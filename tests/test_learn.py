@@ -384,21 +384,19 @@ class TestDeterminismAndFiles:
         assert m1.weights == m2.weights
         assert m1.bias == m2.bias
 
-    def test_model_file_roundtrip_bit_exact(self, tmp_path):
+    def test_model_file_roundtrip_bit_exact(self):
         rng = np.random.default_rng(13)
         points = [
             (dense(rng.normal(size=5)), 1.0 if rng.random() < 0.5 else -1.0)
             for _ in range(20)
         ]
         model = learn.train_log_classifier(cls_set(points), learn.TrainerConfig(seed=1))
-        path = tmp_path / "model.json"
-        learn.save_model(model, str(path))
-        loaded = learn.load_model(str(path))
+        text = json.dumps(learn.model_to_record(model), ensure_ascii=False, indent=1, sort_keys=True)
+        loaded = learn.model_from_record(json.loads(text))
         assert loaded.weights == model.weights
         assert loaded.bias == model.bias
         assert loaded.kind == model.kind and loaded.loss == model.loss
-        learn.save_model(loaded, str(tmp_path / "model2.json"))
-        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
+        assert json.dumps(learn.model_to_record(loaded), ensure_ascii=False, indent=1, sort_keys=True) == text
 
 
 def record_bytes(model):
@@ -411,9 +409,14 @@ TRAINERS = ["train_hinge_classifier", "train_log_classifier", "train_hinge_ranke
 def random_set(rng, kind, scale):
     """Sparse rows over 8 shared names: 1-39 rows labeled +-1, or 1-14
     ranking groups of 1-5 candidates with ranks 0-2, at least one of them 2
-    (the softmax ranker's correct candidate is the first 2)."""
+    (the softmax ranker's correct candidate is the first 2).  About a third
+    of the rows have every value exactly 1.0, as conventional feature rows
+    do, so the trainer's scalar update meets real-valued rows in one set."""
     def vec():
-        return {f"f{i}": float(scale * rng.normal()) for i in range(8) if rng.random() < 0.5}
+        names = [f"f{i}" for i in range(8) if rng.random() < 0.5]
+        if rng.random() < 1 / 3:
+            return dict.fromkeys(names, 1.0)
+        return {name: float(scale * rng.normal()) for name in names}
 
     if kind == CLASSIFY:
         return cls_set([(vec(), 1.0 if rng.random() < 0.5 else -1.0) for _ in range(int(rng.integers(1, 40)))])
@@ -449,12 +452,17 @@ class TestMatchesReference:
     @pytest.mark.parametrize("family", ["mp", "mr", "cr"])
     @pytest.mark.parametrize("loss", ["hinge", "log"])
     def test_synth_train_sets(self, family, loss):
-        cfg = ExperimentConfig(family=family, loss=loss, epochs=4, seed=3)
-        ts = cli._gen_train_set(corpus.unseen_train(synth.synth_corpus(8, seed=5), 0.1, 3), cfg)
-        name = f"train_{loss}_{'ranker' if ts.kind == RANK else 'classifier'}"
-        tcfg = cfg.trainer_config()
-        ours = getattr(learn, name)(ts, tcfg, {"family": family})
-        assert record_bytes(ours) == record_bytes(getattr(reference_learn, name)(ts, tcfg, {"family": family}))
+        """All three feature sets.  Every mp row is all 1.0 (the scalar
+        update); the rankers' sets mix all-1.0 rows with other values, the
+        lexical and combined hinge difference rows having few or none."""
+        docs = corpus.unseen_train(synth.synth_corpus(8, seed=5), 0.1, 3)
+        for features in ["conventional", "lexical", "combined"]:
+            cfg = ExperimentConfig(family=family, features=features, loss=loss, epochs=4, seed=3)
+            ts = cli._gen_train_set(docs, cfg)
+            name = f"train_{loss}_{'ranker' if ts.kind == RANK else 'classifier'}"
+            tcfg = cfg.trainer_config()
+            ours = getattr(learn, name)(ts, tcfg, {"family": family})
+            assert record_bytes(ours) == record_bytes(getattr(reference_learn, name)(ts, tcfg, {"family": family}))
 
     def test_anaphoricity_set(self):
         docs = synth.synth_corpus(8, seed=6)
