@@ -753,9 +753,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: parsing leaves no state in it, and argparse's
+# first build imports gettext's locale support.
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "metric", None) is None and args.command == "score":
         args.metric = list(score.METRICS)
     try:

@@ -16,7 +16,10 @@ softmax ranker.  The model returned is the epoch-end averaged iterate with
 the best objective seen, so the recorded objective trace is non-increasing
 by construction.  The per-row and per-group loss coefficients that the steps
 use also give the full-batch gradient (``_gradient``), which the tests check
-against finite differences of the objective the trainer records.
+against finite differences of the objective the trainer records.  The
+objective's scores (``_scores``) add each row's products in the row's own
+order, from 0.0, over numpy arrays of the padded rows; the tests check them
+bit for bit against a sparse CSR mat-vec.
 
 The bias is handled as a dedicated always-on feature (so a classifier
 learns it like any weight, and it cancels in ranking comparisons); it is
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import sparse
+from numpy.random import default_rng
 
 from .instances import CLASSIFY, RANK, Instance, TrainSet
 
@@ -111,6 +114,9 @@ class _Encoded:
     instead, each group with the position of its first rank-2 instance.
     Each row is (indices, values, ones), where ``ones`` says that every
     value is exactly 1.0, so an update may add a scalar (c * 1.0 == c).
+    ``cols`` and ``vals`` hold the rows again, position-major: entry
+    [p, r] is row r's p-th (index, value), and rows shorter than the
+    longest are padded with (0, 0.0).
     """
 
     def __init__(self, ts: TrainSet, softmax: bool):
@@ -129,14 +135,12 @@ class _Encoded:
                 val.append(1.0)
             ones = all(x == 1.0 for x in val)
             self.rows.append((np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64), ones))
-        self.matrix = sparse.csr_matrix(
-            (
-                np.concatenate([val for _, val, _ in self.rows]),
-                np.concatenate([idx for idx, _, _ in self.rows]),
-                np.cumsum([0] + [len(idx) for idx, _, _ in self.rows]),
-            ),
-            shape=(len(self.rows), len(self.names)),
-        )
+        width = max((len(idx) for idx, _, _ in self.rows), default=0)
+        self.cols = np.zeros((width, len(self.rows)), dtype=np.int64)
+        self.vals = np.zeros((width, len(self.rows)))
+        for r, (idx, val, _) in enumerate(self.rows):
+            self.cols[: len(idx), r] = idx
+            self.vals[: len(val), r] = val
         self.groups: list[list[int]] = []
         self.correct: list[int] = []
         if softmax:
@@ -175,9 +179,19 @@ def _ranker_coefs(s: np.ndarray, correct: int) -> np.ndarray:
     return -p
 
 
+def _scores(enc: _Encoded, w: np.ndarray) -> np.ndarray:
+    """Every row's w.x, summed 0.0 + t0 + t1 + ... in the row's own order,
+    as a sparse CSR mat-vec sums it.  A padding term is +-0.0, which leaves
+    such a sum unchanged (it is never -0.0)."""
+    scores = np.zeros(len(enc.rows))
+    for terms in enc.vals * w[enc.cols]:
+        scores += terms
+    return scores
+
+
 def _objective(enc: _Encoded, w: np.ndarray, lam: float, loss: str) -> float:
     """The regularized objective at w, as recorded in epoch_objectives."""
-    scores = enc.matrix @ w
+    scores = _scores(enc, w)
     if enc.softmax:
         # summed group by group in Python floats; np.sum would round differently
         total = 0.0
@@ -194,14 +208,16 @@ def _objective(enc: _Encoded, w: np.ndarray, lam: float, loss: str) -> float:
 
 def _gradient(enc: _Encoded, w: np.ndarray, lam: float, loss: str) -> np.ndarray:
     """The (sub)gradient of _objective, from the coefficients the SGD steps use."""
-    scores = enc.matrix @ w
+    scores = _scores(enc, w)
     if enc.softmax:
         coefs = np.zeros(len(enc.rows))
         for rows, correct in zip(enc.groups, enc.correct):
             coefs[rows] = _ranker_coefs(scores[rows], correct)
     else:
         coefs = np.array([_classifier_coef(loss, y, s) for y, s in zip(enc.labels, scores)])
-    return lam * w - enc.matrix.T @ coefs / enc.units
+    # X^T coefs, added up row by row in row order (the padding adds +-0.0)
+    xt_coefs = np.bincount(enc.cols.T.ravel(), (enc.vals * coefs).T.ravel(), minlength=len(w))
+    return lam * w - xt_coefs / enc.units
 
 
 def _objective_at(
@@ -238,6 +254,8 @@ def log_ranker_objective(
 # --------------------------------------------------------------------------
 
 
+# A diverging run overflows on the way; the check on the best objective reports it.
+@np.errstate(over="ignore", invalid="ignore")
 def _train(ts: TrainSet, cfg: TrainerConfig, meta: dict | None, kind: str, loss: str) -> LinearModel:
     """Seeded averaged SGD.  Each epoch steps once per row for a classifier
     (the hinge ranker is a classifier over its pairwise difference vectors)
@@ -267,7 +285,7 @@ def _train(ts: TrainSet, cfg: TrainerConfig, meta: dict | None, kind: str, loss:
     # a log-loss step settles the lazy averages even at coef 0, which the
     # rounding of later steps depends on
     step_at_zero = loss == LOG
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     best_w: np.ndarray | None = None
     best_obj = math.inf
     trace: list[float] = []

@@ -7,15 +7,18 @@ Two metrics over a key (gold) and a response (system) partition:
   side scores zero for both.  The averaging universe is the union of key
   mentions and retained response mentions, each identity counted once.
 * CEAF (intersection-size variant) aligns clusters one-to-one with the
-  Kuhn-Munkres algorithm; recall divides the total aligned intersection
-  by the key mention count, precision by the response mention count.
+  Kuhn-Munkres algorithm (``kuhn_munkres``, in plain Python); recall
+  divides the total aligned intersection by the key mention count,
+  precision by the response mention count.  The intersections are
+  integers, so every optimal alignment gives the same exact total.
 
 Before scoring, response mentions that are both twinless and singleton
 clusters are removed; twinless non-singletons stay and are penalized.
 
 The module also houses anaphoricity metrics, the diagnostic scoring of
 resolution classes with an oracle for out-of-class mentions, and the
-paired t-test used for significance reporting.
+paired t-test used for significance reporting, the only user of scipy
+(``scipy.stats``, imported on first use).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import pronouns
 from . import resolve as resolve_mod
@@ -161,15 +163,55 @@ def bcubed(key: Partition, response: Partition, alignment: MentionAlignment) -> 
 def kuhn_munkres(score_matrix) -> tuple[list[tuple[int, int]], float]:
     """Maximum-score one-to-one partial assignment of rows to columns.
 
-    Returns the assignment pairs and the total score.  Backed by the
-    Hungarian-method solver in scipy.
+    Returns the assignment pairs, one per row or per column (whichever are
+    fewer) and sorted by row, and the total score.  Shortest augmenting
+    paths with row and column potentials (the Hungarian method), O(n^2 m)
+    for n <= m; a matrix with more rows than columns is solved transposed.
+    On integer scores every step is exact, so the total is the exact
+    optimum however ties are broken.
     """
-    matrix = np.asarray(score_matrix, dtype=float)
-    if matrix.size == 0:
+    matrix = [list(row) for row in score_matrix]
+    if not matrix or not matrix[0]:
         return [], 0.0
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
-    pairs = [(int(r), int(c)) for r, c in zip(rows, cols)]
-    return pairs, float(matrix[rows, cols].sum())
+    transposed = len(matrix) > len(matrix[0])
+    # minimize the negated scores; rows and columns are numbered from 1,
+    # and column 0 is where each row's search for a free column starts
+    cost = [[-x for x in row] for row in (zip(*matrix) if transposed else matrix)]
+    n, m = len(cost), len(cost[0])
+    u = [0] * (n + 1)
+    v = [0] * (m + 1)
+    owner = [0] * (m + 1)  # the row assigned to each column, 0 if none
+    way = [0] * (m + 1)  # the previous column on the shortest path
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        dist = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
+        while owner[j0]:
+            used[j0] = True
+            row = cost[owner[j0] - 1]
+            u0 = u[owner[j0]]
+            delta, j1 = math.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - u0 - v[j]
+                    if reduced < dist[j]:
+                        dist[j], way[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:  # flip the assignments along the path
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    pairs = [(owner[j] - 1, j - 1) for j in range(1, m + 1) if owner[j]]
+    pairs = sorted((c, r) for r, c in pairs) if transposed else sorted(pairs)
+    return pairs, float(sum(matrix[r][c] for r, c in pairs))
 
 
 @dataclass
@@ -192,18 +234,15 @@ class CeafStats:
 
 
 def ceaf_stats(key: Partition, response: Partition, alignment: MentionAlignment) -> CeafStats:
-    key_clusters = list(key.clusters)
-    resp_clusters = list(response.clusters)
-    matched = 0.0
-    if key_clusters and resp_clusters:
-        matrix = np.zeros((len(key_clusters), len(resp_clusters)))
-        for i, kc in enumerate(key_clusters):
-            kc_set = set(kc)
-            for j, rc in enumerate(resp_clusters):
-                matrix[i, j] = sum(
-                    1 for member in rc if alignment.resp_to_key.get(member) in kc_set
-                )
-        _, matched = kuhn_munkres(matrix)
+    key_index = {m: i for i, kc in enumerate(key.clusters) for m in kc}
+    # |key cluster i & response cluster j|, counted in one pass over the response
+    matrix = [[0] * len(response.clusters) for _ in key.clusters]
+    for j, rc in enumerate(response.clusters):
+        for member in rc:
+            i = key_index.get(alignment.resp_to_key.get(member))
+            if i is not None:
+                matrix[i][j] += 1
+    _, matched = kuhn_munkres(matrix)
     return CeafStats(matched, len(key.universe()), len(response.universe()))
 
 

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from corefrank import cli, corpus, feats, score, synth
@@ -64,6 +63,28 @@ class TestBasicCommands:
         out = capsys.readouterr().out
         assert "bcubed   R=1.0000 P=1.0000 F=1.0000" in out
         assert "ceaf" not in out
+
+    def test_parser_keeps_no_state_between_calls(self, small_corpus_path, capsys):
+        """One parser serves every call: a --metric of one call does not
+        carry over to the next."""
+        outputs = []
+        for metric_flags in (["--metric", "ceaf"], []):
+            assert run(["score", *metric_flags, small_corpus_path, small_corpus_path]) == 0
+            out = capsys.readouterr().out
+            outputs.append(["bcubed   R=1.0000" in out, "ceaf     R=1.0000" in out])
+        assert outputs == [[False, True], [True, True]]
+
+    def test_import_loads_no_scipy(self):
+        """The CLI's import path leaves scipy unloaded and loads numpy.random
+        itself, so no command pays for a first import."""
+        code = ("import sys\nimport corefrank.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.random' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.split() == ["[]", "True"]
 
 
 class TestScoreAndValidateInputs:
@@ -238,10 +259,26 @@ class TestExperimentFlagsChecked:
         assert run(["synth", "--docs", 10, "--seed", 1, "--out", data]) == 0
         capsys.readouterr()
         argv = ["train", data, "--family", family, "--loss", "log", "--features", "conventional", "--epochs", 2]
-        with np.errstate(over="ignore", invalid="ignore"):  # the diverging steps overflow on the way
-            assert run([*argv, "--c", c, "--out", out]) == 1
+        assert run([*argv, "--c", c, "--out", out]) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "detail": detail}
         assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["mp", "cr"])
+    def test_diverging_training_writes_one_error_line(self, tmp_path, family):
+        """The overflowing steps print no RuntimeWarning before the error
+        record, with Python's default warning filters."""
+        data = tmp_path / "s10.jsonl"
+        assert run(["synth", "--docs", 10, "--seed", 1, "--out", data]) == 0
+        argv = ["train", str(data), "--family", family, "--loss", "log", "--features", "conventional",
+                "--epochs", "2", "--c", "1e305", "--out", str(tmp_path / "model.json")]
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "corefrank.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["detail"].startswith("training diverged with C = 1e+305")
 
 
 class TestTrainResolveScore:

@@ -484,7 +484,7 @@ class TestHingeSubgradient:
         lam = 1.0 / (2.0 * enc.units)
         while True:
             w = rng.normal(size=len(enc.names))
-            if np.all(np.abs(1.0 - enc.labels * (enc.matrix @ w)) > 1e-3):
+            if np.all(np.abs(1.0 - enc.labels * learn._scores(enc, w)) > 1e-3):
                 break
         grad = learn._gradient(enc, w, lam, learn.HINGE)
         h = 1e-7
@@ -495,3 +495,65 @@ class TestHingeSubgradient:
             down = learn._objective(enc, w - step, lam, learn.HINGE)
             numeric = (up - down) / (2 * h)
             assert abs(numeric - grad[i]) <= 1e-6 * max(1.0, abs(numeric))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def csr_scores_and_gradient(ts, softmax, w, lam, loss):
+    """w.x of every row and the (sub)gradient, from the scipy CSR matrix of
+    the reference encoding (the same rows in the same order)."""
+    enc = learn._Encoded(ts, softmax)
+    matrix = reference_learn._Encoded(ts, with_bias=not softmax).matrix()
+    scores = matrix @ w
+    if softmax:
+        coefs = np.zeros(len(enc.rows))
+        for rows, correct in zip(enc.groups, enc.correct):
+            coefs[rows] = learn._ranker_coefs(scores[rows], correct)
+    else:
+        coefs = np.array([learn._classifier_coef(loss, y, s) for y, s in zip(enc.labels, scores)])
+    return enc, scores, lam * w - matrix.T @ coefs / enc.units
+
+
+class TestScoresMatchCsr:
+    """``_scores`` and ``_gradient`` on the padded position-major rows give
+    the bits of the CSR mat-vec and its transpose product."""
+
+    def check(self, ts, softmax, w, loss):
+        lam = 1.0 / (3.0 * len(ts.instances))
+        enc, scores, grad = csr_scores_and_gradient(ts, softmax, w, lam, loss)
+        assert np.array_equal(bits(learn._scores(enc, w)), bits(scores))
+        assert np.array_equal(bits(learn._gradient(enc, w, lam, loss)), bits(grad))
+
+    @pytest.mark.parametrize("loss", [learn.HINGE, learn.LOG])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sets(self, seed, loss):
+        rng = np.random.default_rng(seed)
+        softmax = loss == learn.LOG and seed % 2 == 1
+        ts = random_set(rng, RANK if softmax else CLASSIFY, scale=(1.0, 100.0)[seed % 4 // 2])
+        dim = len(ts.feature_vocab) + (0 if softmax else 1)
+        # weights over many magnitudes, some of them +-0.0
+        w = rng.normal(size=dim) * 10.0 ** rng.integers(-8, 9, size=dim)
+        w[rng.random(dim) < 0.2] = 0.0
+        w[rng.random(dim) < 0.2] = -0.0
+        self.check(ts, softmax, w, loss)
+
+    def test_rows_of_negative_zero_products(self):
+        """Rows of mixed length whose every product is -0.0: the CSR sum
+        is +0.0, and so is the sum over the padded rows."""
+        ts = cls_set([({"a": 1.0}, 1.0), ({"a": 2.0, "b": 0.5, "c": 3.0}, -1.0), ({}, 1.0), ({"c": 1.0}, -1.0)])
+        w = np.full(4, -0.0)
+        self.check(ts, False, w, learn.HINGE)
+        assert np.array_equal(bits(learn._scores(learn._Encoded(ts, False), w)), bits(np.zeros(4)))
+
+    @pytest.mark.parametrize("family, loss", [("mp", "log"), ("mp", "hinge"), ("cr", "log"), ("cr", "hinge")])
+    def test_synth_sets(self, family, loss):
+        docs = synth.synth_corpus(6, seed=5)
+        ts = cli._gen_train_set(docs, ExperimentConfig(family=family, features="combined", loss=loss))
+        softmax = ts.kind == RANK and loss == "log"
+        if ts.kind == RANK and loss == "hinge":
+            ts = learn.pairwise_difference_set(ts)
+        rng = np.random.default_rng(len(ts.instances))
+        w = rng.normal(size=len(ts.feature_vocab) + (0 if softmax else 1))
+        self.check(ts, softmax, w, learn.LOG if loss == "log" else learn.HINGE)

@@ -126,6 +126,32 @@ class TestKuhnMunkres:
             _, total = score.kuhn_munkres(matrix)
             assert total == ref.best_injection_total(matrix)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scipy(self, seed):
+        """Totals equal to scipy's solver on integer matrices up to 30x40,
+        sparse and dense, with all-zero rows and columns, 1xn and nx1; the
+        pairs are an injection of min(rows, cols) cells summing to the total."""
+        from scipy.optimize import linear_sum_assignment
+
+        rng = random.Random(seed)
+        shapes = [(1, rng.randint(1, 40)), (rng.randint(1, 40), 1), (30, 40), (40, 30)]
+        shapes += [(rng.randint(1, 30), rng.randint(1, 40)) for _ in range(40)]
+        for n_rows, n_cols in shapes:
+            density = rng.choice([0.05, 0.3, 1.0])
+            matrix = [[rng.randint(1, 9) if rng.random() < density else 0 for _ in range(n_cols)]
+                      for _ in range(n_rows)]
+            for i in rng.sample(range(n_rows), n_rows // 4):
+                matrix[i] = [0] * n_cols
+            for j in rng.sample(range(n_cols), n_cols // 4):
+                for row in matrix:
+                    row[j] = 0
+            pairs, total = score.kuhn_munkres(matrix)
+            rows, cols = linear_sum_assignment(np.array(matrix, dtype=float), maximize=True)
+            assert total == float(np.array(matrix)[rows, cols].sum())
+            assert len(pairs) == min(n_rows, n_cols)
+            assert len({i for i, _ in pairs}) == len(pairs) == len({j for _, j in pairs})
+            assert sum(matrix[i][j] for i, j in pairs) == total
+
 
 class TestCeaf:
     def test_identity(self):
